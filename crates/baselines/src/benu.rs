@@ -201,7 +201,20 @@ mod tests {
             .run(&g, &q)
             .unwrap();
         assert_eq!(slow.matches, fast.matches);
-        assert!(slow.compute_time > fast.compute_time * 2);
+        // Both runs make the same store lookups; only the price differs.
+        // Asserting on these accounted quantities, not on measured wall
+        // time, keeps the test independent of machine load.
+        let requests = slow.comm.rpc_requests;
+        assert!(requests > 0);
+        assert_eq!(fast.comm.rpc_requests, requests);
+        // Every slow lookup is charged 1 ms, overlapped across the k = 2
+        // machines, and the charge lands in the reported compute time.
+        let charged = Duration::from_millis(requests) / 2;
+        assert!(
+            slow.compute_time >= charged,
+            "{:?} < {charged:?}",
+            slow.compute_time
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The public entry point: [`HugeCluster`].
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -503,7 +503,7 @@ impl HugeCluster {
 
 /// Counts regular files left under `root` (recursively) — spill files a
 /// finished run failed to delete.
-fn count_files_under(root: &std::path::Path) -> u64 {
+pub(crate) fn count_files_under(root: &std::path::Path) -> u64 {
     fn walk(dir: &std::path::Path, n: &mut u64) {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return;
@@ -596,12 +596,13 @@ fn build_segment_plans(dataflow: &Dataflow) -> Vec<SegmentPlan> {
         .collect()
 }
 
+/// A fresh spill root for one run. The process id separates processes and a
+/// process-wide sequence separates runs within one, so two runs never share
+/// a root, however close together (or concurrent) they start.
 fn spill_dir() -> PathBuf {
-    let unique = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
-    std::env::temp_dir().join(format!("huge-spill-{}-{}", std::process::id(), unique))
+    static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
+    let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("huge-spill-{}-{run}", std::process::id()))
 }
 
 #[cfg(test)]

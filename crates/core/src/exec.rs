@@ -289,12 +289,21 @@ impl BatchOperator for PullExtend {
 /// buffered joiner into a lazily-driven [`JoinStream`], so *polling* drives
 /// the Grace partitions one at a time — memory is bounded by one partition
 /// plus one output batch on every consumption path.
+///
+/// In *count-only* mode ([`PushJoin::set_count_only`]) the probe counts the
+/// pairs that join ([`JoinStream::next_count`]) instead of writing joined
+/// rows: each poll probes at most one batch worth of candidate pairs,
+/// returns `Pending` (or `Exhausted`) and emits no batch, and the count
+/// accumulates in [`PushJoin::take_count`] — as in a count-only
+/// [`PullExtend`].
 pub struct PushJoin {
     joiner: Option<HashJoiner>,
     stream: Option<JoinStream>,
     out_arity: usize,
     batch_rows: usize,
     produced: u64,
+    count_only: bool,
+    counted: u64,
     cancel: Option<crate::cancel::CancelToken>,
 }
 
@@ -324,12 +333,26 @@ impl PushJoin {
             out_arity,
             batch_rows: batch_rows.max(1),
             produced: 0,
+            count_only: false,
+            counted: 0,
             cancel: None,
         }
     }
 
+    /// Switches the join to count-only mode: the probe counts joined pairs
+    /// and polling never yields output batches.
+    pub fn set_count_only(&mut self, count_only: bool) {
+        self.count_only = count_only;
+    }
+
+    /// Drains the joined pairs counted in count-only mode.
+    pub fn take_count(&mut self) -> u64 {
+        std::mem::take(&mut self.counted)
+    }
+
     /// Threads the run's cancellation token into the join so probing
-    /// ([`JoinStream::next_batch`]) polls it at batch granularity.
+    /// ([`JoinStream::next_batch`], [`JoinStream::next_count`]) polls it at
+    /// batch granularity.
     pub fn set_cancel(&mut self, cancel: crate::cancel::CancelToken) {
         if let Some(stream) = self.stream.as_mut() {
             stream.set_cancel(cancel.clone());
@@ -347,7 +370,7 @@ impl PushJoin {
         }
     }
 
-    /// Joined rows emitted so far.
+    /// Joined rows emitted (or, in count-only mode, counted) so far.
     pub fn produced(&self) -> u64 {
         self.produced
     }
@@ -441,6 +464,16 @@ impl BatchOperator for PushJoin {
 
     fn poll_next(&mut self, ctx: &OpContext<'_>) -> Result<OpPoll> {
         if let Some(stream) = self.stream.as_mut() {
+            if self.count_only {
+                return Ok(match stream.next_count()? {
+                    Some(counted) => {
+                        self.produced += counted;
+                        self.counted += counted;
+                        OpPoll::Pending
+                    }
+                    None => OpPoll::Exhausted,
+                });
+            }
             match stream.next_batch()? {
                 Some(batch) => {
                     self.produced += batch.len() as u64;

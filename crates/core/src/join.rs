@@ -22,7 +22,6 @@ use huge_graph::VertexId;
 use huge_plan::translate::JoinOp;
 
 use crate::memory::MemoryTracker;
-use crate::operators::passes_filters;
 use crate::Result;
 
 /// Number of Grace partitions per side.
@@ -521,8 +520,9 @@ impl JoinStream {
     }
 
     /// Installs the run's cancellation token: every
-    /// [`JoinStream::next_batch`] call polls it first, so a cancel unwinds
-    /// mid-probe (the stream's `Drop` balances charges and spill files).
+    /// [`JoinStream::next_batch`] and [`JoinStream::next_count`] call polls
+    /// it first, so a cancel unwinds mid-probe (the stream's `Drop` balances
+    /// charges and spill files).
     pub fn set_cancel(&mut self, cancel: crate::cancel::CancelToken) {
         self.cancel = Some(cancel);
     }
@@ -530,65 +530,91 @@ impl JoinStream {
     /// Produces the next output batch (at most `batch_rows` rows), or `None`
     /// when the join is exhausted.
     pub fn next_batch(&mut self) -> Result<Option<ColBatch>> {
-        if let Some(cancel) = &self.cancel {
-            cancel.check()?;
-        }
-        loop {
-            if self.current.is_none() {
-                if self.partition >= NUM_PARTITIONS {
-                    // Local partitions done: probe adopted (stolen) ones.
-                    // Their bytes were charged on receipt, not here.
-                    match self.adopted.pop_front() {
-                        Some(a) => {
-                            self.current =
-                                Some(self.build_probe(a.left_rows, a.right_rows, a.bytes, None));
-                        }
-                        None => return Ok(None),
-                    }
-                } else {
-                    let p = self.partition;
-                    self.partition += 1;
-                    if self.states[p] == PartitionState::Shipped {
-                        // A thief owns this partition now.
-                        continue;
-                    }
-                    let left_rows = load_partition(&mut self.left, p, &self.memory)?;
-                    if left_rows.is_empty() {
-                        // Nothing to probe with: unlink the right side's
-                        // buffer and spill file without reading it back.
-                        discard_partition(&mut self.right, p, &self.memory);
-                        self.states[p] = PartitionState::Done;
-                        continue;
-                    }
-                    let right_rows = load_partition(&mut self.right, p, &self.memory)?;
-                    if right_rows.is_empty() {
-                        self.states[p] = PartitionState::Done;
-                        continue;
-                    }
-                    let loaded_bytes = ((left_rows.len() + right_rows.len())
-                        * std::mem::size_of::<VertexId>())
-                        as u64;
-                    self.memory.allocate(loaded_bytes);
-                    self.states[p] = PartitionState::Probing;
-                    self.current =
-                        Some(self.build_probe(left_rows, right_rows, loaded_bytes, Some(p)));
-                }
-            }
-
-            let mut out = ColBatch::with_capacity(self.out_arity, self.batch_rows.min(64 * 1024));
-            let exhausted = self.fill_from_current(&mut out);
-            if exhausted {
-                let probe = self.current.take().expect("current probe exists");
-                self.memory.release(probe.loaded_bytes);
-                if let Some(p) = probe.index {
-                    self.states[p] = PartitionState::Done;
-                }
-            }
+        self.check_cancel()?;
+        let mut out = ColBatch::with_capacity(self.out_arity, self.batch_rows.min(64 * 1024));
+        while self.ensure_probe()? {
+            self.probe_current(&mut ProbeSink::Materialise(&mut out));
             if !out.is_empty() {
                 self.produced += out.len() as u64;
                 return Ok(Some(out));
             }
             // The partition produced nothing (no key overlap): move on.
+        }
+        Ok(None)
+    }
+
+    /// The count-sink twin of [`JoinStream::next_batch`]: probes at most
+    /// `batch_rows` candidate pairs and returns how many of them join, or
+    /// `None` when the join is exhausted. No joined row is written.
+    pub fn next_count(&mut self) -> Result<Option<u64>> {
+        self.check_cancel()?;
+        if !self.ensure_probe()? {
+            return Ok(None);
+        }
+        let mut counted = 0u64;
+        self.probe_current(&mut ProbeSink::Count(&mut counted));
+        self.produced += counted;
+        Ok(Some(counted))
+    }
+
+    fn check_cancel(&self) -> Result<()> {
+        match &self.cancel {
+            Some(cancel) => cancel.check(),
+            None => Ok(()),
+        }
+    }
+
+    /// Makes a partition resident for probing unless one already is: the
+    /// next local partition, then the adopted (stolen) ones. Returns `false`
+    /// once nothing is left to probe.
+    fn ensure_probe(&mut self) -> Result<bool> {
+        while self.current.is_none() {
+            if self.partition >= NUM_PARTITIONS {
+                // Local partitions done: probe adopted (stolen) ones. Their
+                // bytes were charged on receipt, not here.
+                let Some(a) = self.adopted.pop_front() else {
+                    return Ok(false);
+                };
+                self.current = Some(self.build_probe(a.left_rows, a.right_rows, a.bytes, None));
+                continue;
+            }
+            let p = self.partition;
+            self.partition += 1;
+            if self.states[p] == PartitionState::Shipped {
+                // A thief owns this partition now.
+                continue;
+            }
+            let left_rows = load_partition(&mut self.left, p, &self.memory)?;
+            if left_rows.is_empty() {
+                // Nothing to probe with: unlink the right side's buffer and
+                // spill file without reading it back.
+                discard_partition(&mut self.right, p, &self.memory);
+                self.states[p] = PartitionState::Done;
+                continue;
+            }
+            let right_rows = load_partition(&mut self.right, p, &self.memory)?;
+            if right_rows.is_empty() {
+                self.states[p] = PartitionState::Done;
+                continue;
+            }
+            let loaded_bytes =
+                ((left_rows.len() + right_rows.len()) * std::mem::size_of::<VertexId>()) as u64;
+            self.memory.allocate(loaded_bytes);
+            self.states[p] = PartitionState::Probing;
+            self.current = Some(self.build_probe(left_rows, right_rows, loaded_bytes, Some(p)));
+        }
+        Ok(true)
+    }
+
+    /// Probes the resident partition into `sink`, releasing the partition
+    /// once it is exhausted.
+    fn probe_current(&mut self, sink: &mut ProbeSink<'_>) {
+        if self.fill_from_current(sink) {
+            let probe = self.current.take().expect("current probe exists");
+            self.memory.release(probe.loaded_bytes);
+            if let Some(p) = probe.index {
+                self.states[p] = PartitionState::Done;
+            }
         }
     }
 
@@ -641,15 +667,22 @@ impl JoinStream {
         }
     }
 
-    /// Probes the current partition until `out` is full or the partition is
-    /// exhausted. Returns `true` when the partition is exhausted.
-    fn fill_from_current(&mut self, out: &mut ColBatch) -> bool {
+    /// Probes the current partition until `sink` is full (see
+    /// [`ProbeSink::is_full`]) or the partition is exhausted. Returns `true`
+    /// when the partition is exhausted.
+    ///
+    /// Key verification, cross-side injectivity and the order filters read
+    /// `lrow`/`rrow` in place, so the joined row is assembled only for pairs
+    /// that survive them, and only when materialising.
+    fn fill_from_current(&mut self, sink: &mut ProbeSink<'_>) -> bool {
         let probe = self.current.as_mut().expect("current probe exists");
+        let op = &self.op;
         let left_arity = self.left.arity;
         let right_arity = self.right.arity;
         let left_len = probe.left_rows.len() / left_arity.max(1);
-        let mut joined: Vec<VertexId> = Vec::with_capacity(self.out_arity);
-        while out.len() < self.batch_rows {
+        let mut joined: Vec<VertexId> = Vec::new();
+        let mut examined = 0usize;
+        while !sink.is_full(examined, self.batch_rows) {
             if probe.match_pos == probe.match_end {
                 // Advance to the next left row with candidate matches.
                 loop {
@@ -658,7 +691,7 @@ impl JoinStream {
                     }
                     let lrow =
                         &probe.left_rows[probe.probe * left_arity..(probe.probe + 1) * left_arity];
-                    let key = pack_key(lrow, &self.op.key_left);
+                    let key = pack_key(lrow, &op.key_left);
                     if let Some(&(start, end)) = probe.table.get(&key) {
                         probe.match_pos = start;
                         probe.match_end = end;
@@ -668,39 +701,45 @@ impl JoinStream {
                 }
             }
             let lrow = &probe.left_rows[probe.probe * left_arity..(probe.probe + 1) * left_arity];
-            while probe.match_pos < probe.match_end && out.len() < self.batch_rows {
+            while probe.match_pos < probe.match_end && !sink.is_full(examined, self.batch_rows) {
                 let ridx = probe.order[probe.match_pos as usize] as usize;
                 probe.match_pos += 1;
+                examined += 1;
                 let rrow = &probe.right_rows[ridx * right_arity..(ridx + 1) * right_arity];
                 // Hash-packed (wide) keys can collide: re-check equality.
-                if probe.verify_keys {
-                    let keys_equal = self
-                        .op
+                if probe.verify_keys
+                    && !op
                         .key_left
                         .iter()
-                        .zip(&self.op.key_right)
-                        .all(|(&lpos, &rpos)| lrow[lpos] == rrow[rpos]);
-                    if !keys_equal {
-                        continue;
-                    }
+                        .zip(&op.key_right)
+                        .all(|(&lpos, &rpos)| lrow[lpos] == rrow[rpos])
+                {
+                    continue;
                 }
                 // Cross-side injectivity: appended payload vertices must not
                 // collide with any left-bound vertex.
-                let payload_ok = self
-                    .op
+                if op
                     .right_payload
                     .iter()
-                    .all(|&pos| !lrow.contains(&rrow[pos]));
-                if !payload_ok {
+                    .any(|&pos| lrow.contains(&rrow[pos]))
+                {
                     continue;
                 }
-                joined.clear();
-                joined.extend_from_slice(lrow);
-                for &pos in &self.op.right_payload {
-                    joined.push(rrow[pos]);
+                let passes = op.filters.iter().all(|f| {
+                    joined_value(lrow, rrow, &op.right_payload, f.smaller)
+                        < joined_value(lrow, rrow, &op.right_payload, f.larger)
+                });
+                if !passes {
+                    continue;
                 }
-                if passes_filters(&joined, &self.op.filters) {
-                    out.push_row(&joined);
+                match sink {
+                    ProbeSink::Materialise(out) => {
+                        joined.clear();
+                        joined.extend_from_slice(lrow);
+                        joined.extend(op.right_payload.iter().map(|&pos| rrow[pos]));
+                        out.push_row(&joined);
+                    }
+                    ProbeSink::Count(counted) => **counted += 1,
                 }
             }
             if probe.match_pos == probe.match_end {
@@ -708,6 +747,38 @@ impl JoinStream {
             }
         }
         false
+    }
+}
+
+/// Where a probe's surviving (left row, right row) pairs go: joined rows
+/// into an output batch, or a counter — the count-sink fast path, which
+/// writes no joined rows at all.
+enum ProbeSink<'a> {
+    Materialise(&'a mut ColBatch),
+    Count(&'a mut u64),
+}
+
+impl ProbeSink<'_> {
+    /// `true` once one poll's share of probing is done: a full output batch
+    /// when materialising, `batch_rows` examined candidate pairs when
+    /// counting (so a count poll keeps the per-batch cadence of cancel
+    /// checks, steal servicing and governor ticks).
+    #[inline]
+    fn is_full(&self, examined: usize, batch_rows: usize) -> bool {
+        match self {
+            ProbeSink::Materialise(out) => out.len() >= batch_rows,
+            ProbeSink::Count(_) => examined >= batch_rows,
+        }
+    }
+}
+
+/// The value at position `pos` of the joined row `lrow ++ rrow[payload]`,
+/// read without assembling the row.
+#[inline]
+fn joined_value(lrow: &[VertexId], rrow: &[VertexId], payload: &[usize], pos: usize) -> VertexId {
+    match lrow.get(pos) {
+        Some(&v) => v,
+        None => rrow[payload[pos - lrow.len()]],
     }
 }
 
@@ -743,17 +814,23 @@ fn spill_partition(
     if part.rows_in_memory.is_empty() {
         return Ok(0);
     }
-    let path = match part.spill_file.clone() {
-        Some(path) => path,
+    // The first spill creates the file and must be its only creator: a name
+    // collision (another joiner sharing the directory) is an error, not
+    // silently interleaved rows. Later spills append.
+    let file = match &part.spill_file {
+        Some(path) => OpenOptions::new().append(true).open(path)?,
         None => {
             *counter += 1;
             let path = spill_dir.join(format!("join-{tag}-{index}-{counter}.spill"));
-            part.spill_file = Some(path.clone());
-            path
+            std::fs::create_dir_all(spill_dir)?;
+            let file = OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)?;
+            part.spill_file = Some(path);
+            file
         }
     };
-    std::fs::create_dir_all(spill_dir)?;
-    let file = OpenOptions::new().create(true).append(true).open(&path)?;
     let mut w = BufWriter::new(file);
     w.write_all(&encode_rows(&part.rows_in_memory))?;
     w.flush()?;
@@ -855,10 +932,43 @@ mod tests {
     use super::*;
     use huge_plan::translate::OrderFilter;
 
-    fn spill_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("huge-join-test-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        dir
+    /// One test's spill directory, removed with everything under it on
+    /// drop. Tests run in parallel, so none may share a directory, and each
+    /// joiner of a test gets a subdirectory of its own ([`TestDir::fresh`]).
+    struct TestDir {
+        root: PathBuf,
+        next: std::cell::Cell<usize>,
+    }
+
+    impl TestDir {
+        fn new() -> Self {
+            static NEXT_TEST: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let test = NEXT_TEST.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let root =
+                std::env::temp_dir().join(format!("huge-join-test-{}-{test}", std::process::id()));
+            TestDir {
+                root,
+                next: std::cell::Cell::new(0),
+            }
+        }
+
+        /// A directory no other joiner uses.
+        fn fresh(&self) -> PathBuf {
+            let n = self.next.get();
+            self.next.set(n + 1);
+            self.root.join(format!("joiner-{n}"))
+        }
+
+        /// Files left anywhere under the test's directory.
+        fn files(&self) -> u64 {
+            crate::cluster::count_files_under(&self.root)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.root);
+        }
     }
 
     fn simple_op() -> JoinOp {
@@ -884,12 +994,13 @@ mod tests {
 
     #[test]
     fn joins_matching_keys() {
+        let dir = TestDir::new();
         let mut joiner = HashJoiner::new(
             simple_op(),
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Untracked,
         );
         joiner
@@ -917,12 +1028,13 @@ mod tests {
 
     #[test]
     fn cross_side_injectivity_is_enforced() {
+        let dir = TestDir::new();
         let mut joiner = HashJoiner::new(
             simple_op(),
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Untracked,
         );
         // Right payload value 10 collides with the left's bound vertex 10.
@@ -937,6 +1049,7 @@ mod tests {
 
     #[test]
     fn order_filters_apply_to_joined_rows() {
+        let dir = TestDir::new();
         let mut op = simple_op();
         // Require output[1] < output[2], i.e. b < c.
         op.filters = vec![OrderFilter {
@@ -948,7 +1061,7 @@ mod tests {
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Untracked,
         );
         joiner.add(JoinSide::Left, &batch2(&[[1, 50]])).unwrap();
@@ -964,13 +1077,14 @@ mod tests {
 
     #[test]
     fn spilling_preserves_results() {
+        let dir = TestDir::new();
         // A tiny threshold forces every partition to spill.
         let mut joiner = HashJoiner::new(
             simple_op(),
             2,
             2,
             1024,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Untracked,
         );
         let n = 2000u32;
@@ -992,6 +1106,7 @@ mod tests {
 
     #[test]
     fn multi_column_keys() {
+        let dir = TestDir::new();
         // Left schema [a, b, x]; right schema [a, b, y]; join on (a, b).
         let op = JoinOp {
             left: 0,
@@ -1006,7 +1121,7 @@ mod tests {
             3,
             3,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Untracked,
         );
         let mut l = RowBatch::new(3);
@@ -1026,13 +1141,14 @@ mod tests {
 
     #[test]
     fn governor_spill_hook_preserves_results_and_releases_memory() {
+        let dir = TestDir::new();
         let tracker = std::sync::Arc::new(MemoryTracker::new());
         let mut joiner = HashJoiner::new(
             simple_op(),
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
         );
         let n = 500u32;
@@ -1060,13 +1176,14 @@ mod tests {
 
     #[test]
     fn sealed_stream_spill_hook_preserves_results() {
+        let dir = TestDir::new();
         let tracker = std::sync::Arc::new(MemoryTracker::new());
         let mut joiner = HashJoiner::new(
             simple_op(),
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
         );
         let n = 400u32;
@@ -1095,6 +1212,7 @@ mod tests {
 
     #[test]
     fn spill_ship_reload_round_trip_is_bit_for_bit() {
+        let dir = TestDir::new();
         // The same partition taken from a fully-spilled joiner and from an
         // all-in-memory joiner must encode to identical bytes: the ship
         // encoding *is* the spill encoding.
@@ -1107,7 +1225,7 @@ mod tests {
                 2,
                 2,
                 threshold,
-                spill_dir(),
+                dir.fresh(),
                 MemoryTrackerHandle::Untracked,
             );
             joiner.add(JoinSide::Left, &batch2(&left)).unwrap();
@@ -1137,6 +1255,7 @@ mod tests {
 
     #[test]
     fn shipped_partitions_join_to_the_same_rows_elsewhere() {
+        let dir = TestDir::new();
         // Splitting a join between a shipper stream and an adopter stream
         // produces exactly the rows of the unsplit join, and the memory
         // charge that travels with the shipped partitions balances out.
@@ -1150,7 +1269,7 @@ mod tests {
                 2,
                 2,
                 1 << 20,
-                spill_dir(),
+                dir.fresh(),
                 if tracked {
                     MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker))
                 } else {
@@ -1175,7 +1294,7 @@ mod tests {
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
         );
         let mut adopter = adopter_joiner.into_stream(128);
@@ -1210,13 +1329,14 @@ mod tests {
 
     #[test]
     fn memory_tracking_is_released_after_finish() {
+        let dir = TestDir::new();
         let tracker = std::sync::Arc::new(MemoryTracker::new());
         let mut joiner = HashJoiner::new(
             simple_op(),
             2,
             2,
             1 << 20,
-            spill_dir(),
+            dir.fresh(),
             MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
         );
         joiner
@@ -1227,5 +1347,289 @@ mod tests {
         joiner.finish(16, |_| {}).unwrap();
         assert_eq!(tracker.current(), 0);
         assert!(tracker.peak() > 0);
+    }
+
+    /// A small deterministic LCG for test data.
+    fn lcg(state: &mut u64) -> u32 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 33) as u32
+    }
+
+    /// Rows of `arity` columns with values below `domain`: a small domain
+    /// makes key matches, payload/left collisions (injectivity) and filter
+    /// rejections all common.
+    fn random_rows(seed: u64, n: usize, arity: usize, domain: u32) -> RowBatch {
+        let mut state = seed;
+        let mut batch = RowBatch::new(arity);
+        let mut row = vec![0; arity];
+        for _ in 0..n {
+            for v in row.iter_mut() {
+                *v = lcg(&mut state) % domain;
+            }
+            batch.push_row(&row);
+        }
+        batch
+    }
+
+    /// Left schema [a, b, x], right schema [a, y, z], joined on `a` with
+    /// output [a, b, x, y, z] and the filters b < y and z < x (one on each
+    /// side of the left/payload boundary).
+    fn filtered_op() -> JoinOp {
+        JoinOp {
+            left: 0,
+            right: 1,
+            key_left: vec![0],
+            key_right: vec![0],
+            right_payload: vec![1, 2],
+            filters: vec![
+                OrderFilter {
+                    smaller: 1,
+                    larger: 3,
+                },
+                OrderFilter {
+                    smaller: 4,
+                    larger: 2,
+                },
+            ],
+        }
+    }
+
+    /// Drains a stream in count mode, checking that no poll counts more
+    /// pairs than it may examine.
+    fn drain_count(stream: &mut JoinStream, batch_rows: usize) -> u64 {
+        let before = stream.produced();
+        let mut total = 0;
+        while let Some(n) = stream.next_count().unwrap() {
+            assert!(n <= batch_rows as u64, "one poll counted {n} pairs");
+            total += n;
+        }
+        assert!(stream.is_exhausted());
+        assert_eq!(stream.produced() - before, total);
+        total
+    }
+
+    /// Joins the same input twice — materialised through
+    /// [`HashJoiner::finish`] and counted through
+    /// [`JoinStream::next_count`] — and returns (rows, count).
+    fn materialised_and_counted(
+        op: &JoinOp,
+        left: &RowBatch,
+        right: &RowBatch,
+        threshold: u64,
+        batch_rows: usize,
+    ) -> (u64, u64) {
+        let dir = TestDir::new();
+        let tracker = std::sync::Arc::new(MemoryTracker::new());
+        let build = || {
+            let mut joiner = HashJoiner::new(
+                op.clone(),
+                left.arity(),
+                right.arity(),
+                threshold,
+                dir.fresh(),
+                MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
+            );
+            joiner.add(JoinSide::Left, left).unwrap();
+            joiner.add(JoinSide::Right, right).unwrap();
+            joiner
+        };
+        let mut rows = 0u64;
+        let produced = build()
+            .finish(batch_rows, |b| rows += b.len() as u64)
+            .unwrap();
+        assert_eq!(produced, rows);
+        let mut stream = build().into_stream(batch_rows);
+        let counted = drain_count(&mut stream, batch_rows);
+        drop(stream);
+        assert_eq!(tracker.current(), 0);
+        assert_eq!(dir.files(), 0);
+        (rows, counted)
+    }
+
+    #[test]
+    fn count_mode_matches_materialised_rows_under_filters_and_injectivity() {
+        let left = random_rows(1, 1000, 3, 40);
+        let right = random_rows(2, 1000, 3, 40);
+        // Count the rejections the probe must apply, so the test cannot pass
+        // vacuously on data that never collides or never fails a filter.
+        let (mut collisions, mut filtered) = (0, 0);
+        for l in left.rows() {
+            for r in right.rows().filter(|r| r[0] == l[0]) {
+                if l.contains(&r[1]) || l.contains(&r[2]) {
+                    collisions += 1;
+                } else if !(l[1] < r[1] && r[2] < l[2]) {
+                    filtered += 1;
+                }
+            }
+        }
+        assert!(collisions > 0 && filtered > 0);
+        for batch_rows in [1, 7, 256] {
+            let (rows, counted) =
+                materialised_and_counted(&filtered_op(), &left, &right, 1 << 20, batch_rows);
+            assert!(rows > 0);
+            assert_eq!(counted, rows, "batch_rows {batch_rows}");
+        }
+    }
+
+    #[test]
+    fn count_mode_matches_materialised_rows_on_spilled_partitions() {
+        let left = random_rows(3, 4000, 3, 200);
+        let right = random_rows(4, 4000, 3, 200);
+        // A 1 KiB buffer spills nearly every partition during the build.
+        let (rows, counted) = materialised_and_counted(&filtered_op(), &left, &right, 1024, 64);
+        assert!(rows > 0);
+        assert_eq!(counted, rows);
+    }
+
+    /// Two distinct 5-column keys with equal FNV hashes, so [`pack_key`]
+    /// maps them to the same table entry and only the probe's key
+    /// verification tells them apart. FNV-1a ends in `(state ^ last) *
+    /// prime`, so two 4-column prefixes whose states agree in the high 32
+    /// bits (a birthday search over ~2^16 prefixes) collide once the last
+    /// column cancels the low 32 bits.
+    fn colliding_wide_keys() -> ([u32; 5], [u32; 5]) {
+        let positions = [0, 1, 2, 3];
+        let mut seen: std::collections::HashMap<u32, [u32; 4]> = std::collections::HashMap::new();
+        for i in 0u32.. {
+            let prefix = [i, i * 7 + 1, i * 13 + 2, i * 31 + 3];
+            let state = key_hash(&prefix, &positions);
+            if let Some(other) = seen.insert((state >> 32) as u32, prefix) {
+                let other_state = key_hash(&other, &positions);
+                let last = (state ^ other_state) as u32;
+                return (
+                    [other[0], other[1], other[2], other[3], 0],
+                    [prefix[0], prefix[1], prefix[2], prefix[3], last],
+                );
+            }
+        }
+        unreachable!("the birthday search always finds a collision")
+    }
+
+    #[test]
+    fn count_mode_verifies_hash_packed_wide_keys() {
+        let (a, b) = colliding_wide_keys();
+        let key: Vec<usize> = (0..5).collect();
+        assert_ne!(a, b);
+        assert_eq!(pack_key(&a, &key), pack_key(&b, &key));
+        // Schemas [k0..k4, x] on both sides; output [k0..k4, x, y].
+        let op = JoinOp {
+            left: 0,
+            right: 1,
+            key_left: key.clone(),
+            key_right: key,
+            right_payload: vec![5],
+            filters: vec![],
+        };
+        let row = |k: [u32; 5], payload: u32| {
+            let mut r = k.to_vec();
+            r.push(payload);
+            r
+        };
+        let mut left = RowBatch::new(6);
+        let mut right = RowBatch::new(6);
+        left.push_row(&row(a, u32::MAX - 1));
+        left.push_row(&row(b, u32::MAX - 2));
+        right.push_row(&row(a, u32::MAX - 3));
+        right.push_row(&row(b, u32::MAX - 4));
+        right.push_row(&row(b, u32::MAX - 5));
+        // Each left row has all three right rows as hash candidates; only
+        // the key-equal ones join: 1 for `a`, 2 for `b`.
+        for batch_rows in [1, 2, 16] {
+            let (rows, counted) = materialised_and_counted(&op, &left, &right, 1 << 20, batch_rows);
+            assert_eq!(rows, 3);
+            assert_eq!(counted, 3);
+        }
+    }
+
+    #[test]
+    fn count_mode_counts_adopted_partitions() {
+        let left = random_rows(5, 3000, 3, 60);
+        let right = random_rows(6, 3000, 3, 60);
+        let (reference, _) = materialised_and_counted(&filtered_op(), &left, &right, 1 << 20, 128);
+        let dir = TestDir::new();
+        let tracker = std::sync::Arc::new(MemoryTracker::new());
+        let build = |threshold: u64| {
+            let mut joiner = HashJoiner::new(
+                filtered_op(),
+                3,
+                3,
+                threshold,
+                dir.fresh(),
+                MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
+            );
+            joiner.add(JoinSide::Left, &left).unwrap();
+            joiner.add(JoinSide::Right, &right).unwrap();
+            joiner
+        };
+        // The shipper spilled, so shipped partitions come back from disk.
+        let mut shipper = build(1024).into_stream(128);
+        let mut thief = HashJoiner::new(
+            filtered_op(),
+            3,
+            3,
+            1 << 20,
+            dir.fresh(),
+            MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
+        )
+        .into_stream(128);
+        // Probe part of the shipper first, as a victim does mid-probe.
+        let mut counted = shipper.next_count().unwrap().expect("not exhausted");
+        let mut shipped = 0;
+        while let Some((_, l, r)) = shipper.take_unprobed_partition().unwrap() {
+            // Charge on receipt, release on ack, as the machines do.
+            let bytes = ((l.len() + r.len()) * std::mem::size_of::<VertexId>()) as u64;
+            tracker.allocate(bytes);
+            tracker.release(bytes);
+            thief.adopt_partition(decode_rows(&encode_rows(&l)), decode_rows(&encode_rows(&r)));
+            shipped += 1;
+            if shipped == 3 {
+                break;
+            }
+        }
+        assert_eq!(shipped, 3);
+        counted += drain_count(&mut shipper, 128);
+        let stolen = drain_count(&mut thief, 128);
+        assert!(stolen > 0, "the thief counts what it probes");
+        assert_eq!(counted + stolen, reference);
+        drop(shipper);
+        drop(thief);
+        assert_eq!(tracker.current(), 0);
+        assert_eq!(dir.files(), 0);
+    }
+
+    #[test]
+    fn cancel_mid_count_probe_releases_memory_and_spill_files() {
+        let dir = TestDir::new();
+        let tracker = std::sync::Arc::new(MemoryTracker::new());
+        let mut joiner = HashJoiner::new(
+            simple_op(),
+            2,
+            2,
+            1024,
+            dir.fresh(),
+            MemoryTrackerHandle::Tracked(std::sync::Arc::clone(&tracker)),
+        );
+        // 20 right rows per key: every left row has 20 candidate pairs.
+        let left: Vec<[u32; 2]> = (0..2000).map(|i| [i % 100, 10_000 + i]).collect();
+        let right: Vec<[u32; 2]> = (0..2000).map(|i| [i % 100, 20_000 + i]).collect();
+        joiner.add(JoinSide::Left, &batch2(&left)).unwrap();
+        joiner.add(JoinSide::Right, &batch2(&right)).unwrap();
+        assert!(joiner.spilled());
+        let cancel = crate::cancel::CancelToken::new();
+        let mut stream = joiner.into_stream(32);
+        stream.set_cancel(cancel.clone());
+        for _ in 0..5 {
+            assert_eq!(stream.next_count().unwrap(), Some(32));
+        }
+        // Mid-probe: a partition is resident and others are still on disk.
+        assert!(tracker.current() > 0);
+        assert!(dir.files() > 0);
+        cancel.cancel();
+        assert!(stream.next_count().is_err());
+        drop(stream);
+        assert_eq!(tracker.current(), 0);
+        assert_eq!(dir.files(), 0);
     }
 }

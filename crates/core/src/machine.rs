@@ -698,12 +698,13 @@ impl MachineState {
             .map(|op| PullExtend::new(op.clone()))
             .collect();
         // Count-only fast path: when the root segment merely counts matches,
-        // the final extension's output column never needs materialising.
-        let count_only = matches!(plan.terminal, Terminal::Sink)
-            && sink == SinkMode::Count
-            && !extends.is_empty();
+        // its last operator — the final extend, or the join when the chain
+        // has no extends — counts its output instead of materialising it.
+        let count_only = matches!(plan.terminal, Terminal::Sink) && sink == SinkMode::Count;
         if count_only {
-            extends.last_mut().expect("non-empty").set_count_only(true);
+            if let Some(last) = extends.last_mut() {
+                last.set_count_only(true);
+            }
         }
         let source = match &plan.segment.source {
             SegmentSource::Scan(scan) => ChainSource::Scan(ScanSource::new(
@@ -720,6 +721,7 @@ impl MachineState {
                 })?;
                 let ctx = self.op_context();
                 join.finish_input(&ctx)?;
+                join.set_count_only(count_only && extends.is_empty());
                 ChainSource::Join(Box::new(join))
             }
         };
@@ -738,6 +740,9 @@ impl MachineState {
                 }
             }
             self.matches += ext.take_count();
+        }
+        if let ChainSource::Join(join) = &mut chain.source {
+            self.matches += join.take_count();
         }
         // Completion stamps over the start mark if the chain was built
         // without ever noting a start (the aggregate clamps end >= start).

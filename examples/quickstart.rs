@@ -21,6 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A simulated 4-machine cluster with 2 workers per machine.
     let cluster = HugeCluster::build(graph, ClusterConfig::new(4).workers(2))?;
 
+    // `wall` is measured; `T_C` is the network time modelled from the bytes
+    // the simulated machines exchanged. The two are reported side by side,
+    // never added.
+    println!(
+        "\n{:<18} {:>10} {:>9} {:>17} {:>10}",
+        "pattern", "matches", "wall (s)", "modelled T_C (s)", "moved KiB"
+    );
     for pattern in [
         Pattern::Triangle,
         Pattern::Square,
@@ -30,10 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let query = pattern.query_graph();
         let report = cluster.run(&query, SinkMode::Count)?;
         println!(
-            "{:<22} {:>12} matches   T = {:>8.3}s  (compute {:.3}s, comm {:.3}s, {} KiB moved)",
+            "{:<18} {:>10} {:>9.3} {:>17.3} {:>10}",
             pattern.name(),
             report.matches,
-            report.total_time().as_secs_f64(),
             report.compute_time.as_secs_f64(),
             report.comm_time.as_secs_f64(),
             report.comm_bytes / 1024

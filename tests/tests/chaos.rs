@@ -221,6 +221,48 @@ fn cancel_with_spilled_joins_leaves_no_spill_files_or_bytes() {
     }
 }
 
+#[test]
+fn cancel_during_count_only_join_probe_leaves_nothing_behind() {
+    // q7's shape: two path segments feed a root PUSH-JOIN whose probe counts
+    // the joined pairs for the count sink and writes no rows. The probe
+    // takes the back part of the run, so a cancel at ~70% of an uncancelled
+    // run's wall time usually lands mid-probe, with spilled partitions still
+    // on disk. Wherever it lands, the run must unwind cleanly.
+    let graph = gen::grid(60, 60, 300, 11);
+    let query = Pattern::Path(6).query_graph();
+    let config = ClusterConfig::new(2)
+        .workers(1)
+        .partition_stealing(true)
+        .memory_budget_per_machine(64 * 1024);
+    let cluster = HugeCluster::build(graph, config).unwrap();
+    let plan = cluster.plan(&query).unwrap();
+    let dataflow = huge_plan::translate::translate(&plan).unwrap();
+    assert!(dataflow.segments.len() > 1, "the plan must end in a join");
+    let started = Instant::now();
+    let full = cluster.run_dataflow(&dataflow, SinkMode::Count).unwrap();
+    let cancel_after = started.elapsed().mul_f64(0.7);
+    assert!(full.governor.as_ref().is_some_and(|g| g.spilled_bytes > 0));
+
+    let cancel = CancelToken::new();
+    let canceller = cancel.clone();
+    let cancelling = std::thread::spawn(move || {
+        std::thread::sleep(cancel_after);
+        canceller.cancel();
+    });
+    let result = cluster.run_dataflow_with_cancel(&dataflow, SinkMode::Count, cancel);
+    cancelling.join().unwrap();
+    match result {
+        Err(EngineError::Cancelled(Some(report))) => {
+            assert_eq!(report.outcome, RunOutcome::Cancelled);
+            assert_eq!(report.leaked_bytes, 0, "probe/partition bytes leaked");
+            assert_eq!(report.orphaned_spill_files, 0, "spill files survived");
+        }
+        // A run faster than its reference can finish before the cancel.
+        Ok(report) => assert_eq!(report.matches, full.matches),
+        other => panic!("expected Cancelled with a partial report, got {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-plan validation
 // ---------------------------------------------------------------------------

@@ -246,6 +246,49 @@ fn count_only_sink_matches_collect_on_paths() {
     // The count-only run never materialises the final extension column, so
     // its peak intermediate memory cannot exceed the collecting run's.
     assert!(counted.peak_memory_bytes <= collected.peak_memory_bytes);
+
+    // The root chain's last operator counts whichever it is: Path(4) ends in
+    // a PULL-EXTEND, Path(5) and Path(6) in a PUSH-JOIN over two path
+    // segments. A 16 KiB per-machine budget drives the governor to Red, so
+    // the joins spill their Grace partitions and probe them back from disk,
+    // and idle machines steal sealed partitions and count what they probe.
+    let graph = gen::grid(36, 36, 120, 7);
+    for n in 4..=6 {
+        let query = Pattern::Path(n).query_graph();
+        let expected = naive::enumerate(&graph, &query);
+        for k in [2, 3] {
+            let config = ClusterConfig::new(k)
+                .workers(2)
+                .partition_stealing(true)
+                .memory_budget_per_machine(16 * 1024);
+            let cluster = HugeCluster::build(graph.clone(), config).unwrap();
+            let segments = huge_plan::translate::translate(&cluster.plan(&query).unwrap())
+                .unwrap()
+                .segments
+                .len();
+            assert_eq!(segments > 1, n > 4, "Path({n}) plan shape");
+            let counted = cluster.run(&query, SinkMode::Count).unwrap();
+            let collected = cluster.run(&query, SinkMode::Collect(5)).unwrap();
+            let case = format!("Path({n}) on {k} machines");
+            assert_eq!(counted.matches, expected, "{case}");
+            assert_eq!(collected.matches, expected, "{case}");
+            for report in [&counted, &collected] {
+                assert_eq!(report.leaked_bytes, 0, "{case}");
+                assert_eq!(report.orphaned_spill_files, 0, "{case}");
+                if segments > 1 {
+                    let spilled = report.governor.as_ref().map_or(0, |g| g.spilled_bytes);
+                    assert!(spilled > 0, "{case}: the budget must force spilling");
+                }
+            }
+            // The counting operator writes no output batches.
+            assert!(
+                counted.comm.col_bytes < collected.comm.col_bytes,
+                "{case}: {} >= {} column bytes",
+                counted.comm.col_bytes,
+                collected.comm.col_bytes
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
