@@ -1452,24 +1452,27 @@ mod tests {
     fn count_mode_matches_materialised_rows_under_filters_and_injectivity() {
         let left = random_rows(1, 1000, 3, 40);
         let right = random_rows(2, 1000, 3, 40);
-        // Count the rejections the probe must apply, so the test cannot pass
-        // vacuously on data that never collides or never fails a filter.
-        let (mut collisions, mut filtered) = (0, 0);
+        // A nested-loop reference, which also counts the rejections the probe
+        // must apply, so the test cannot pass vacuously on data that never
+        // collides or never fails a filter.
+        let (mut expected, mut collisions, mut filtered) = (0u64, 0, 0);
         for l in left.rows() {
             for r in right.rows().filter(|r| r[0] == l[0]) {
                 if l.contains(&r[1]) || l.contains(&r[2]) {
                     collisions += 1;
                 } else if !(l[1] < r[1] && r[2] < l[2]) {
                     filtered += 1;
+                } else {
+                    expected += 1;
                 }
             }
         }
-        assert!(collisions > 0 && filtered > 0);
+        assert!(expected > 0 && collisions > 0 && filtered > 0);
         for batch_rows in [1, 7, 256] {
             let (rows, counted) =
                 materialised_and_counted(&filtered_op(), &left, &right, 1 << 20, batch_rows);
-            assert!(rows > 0);
-            assert_eq!(counted, rows, "batch_rows {batch_rows}");
+            assert_eq!(rows, expected, "batch_rows {batch_rows}");
+            assert_eq!(counted, expected, "batch_rows {batch_rows}");
         }
     }
 
