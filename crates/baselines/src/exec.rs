@@ -45,7 +45,7 @@ use huge_core::exec::{
 };
 use huge_core::join::{JoinSide, MemoryTrackerHandle};
 use huge_core::memory::MemoryTracker;
-use huge_core::operators::passes_filters;
+use huge_core::operators::{passes_filters, MarkerPool};
 use huge_core::pool::WorkerPool;
 use huge_core::{EngineError, LoadBalance, Result};
 use huge_graph::{GraphPartition, VertexId};
@@ -125,6 +125,7 @@ pub struct BaselineCtx {
     endpoints: Vec<RouterEndpoint>,
     cache: huge_cache::LrbuCache,
     pool: WorkerPool,
+    markers: MarkerPool,
     /// Machine-level pool: one persistent worker per simulated machine, so
     /// the machines execute concurrently and wall time includes their real
     /// synchronisation cost (workers spawn once and are reused by every
@@ -165,6 +166,7 @@ impl BaselineCtx {
             router.set_accounting(m, Arc::clone(&memory) as Arc<dyn QueueAccounting>);
         }
         let endpoints = (0..k).map(|m| router.endpoint(m)).collect();
+        let markers = MarkerPool::new(partitions.first().map_or(0, |p| p.global_vertices()), None);
         BaselineCtx {
             partitions,
             stats,
@@ -172,6 +174,7 @@ impl BaselineCtx {
             endpoints,
             cache: huge_cache::LrbuCache::new(0),
             pool: WorkerPool::new(1, LoadBalance::None),
+            markers,
             // `None` pins one job per worker: k machine jobs land on k
             // distinct workers, so jobs that rendezvous on a shuffle barrier
             // can never serialise onto one worker and deadlock.
@@ -224,6 +227,7 @@ impl BaselineCtx {
             cache: &self.cache,
             use_cache: false,
             pool: &self.pool,
+            markers: &self.markers,
             batch_size: self.batch_size,
         }
     }

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use huge_cache::LrbuCache;
 use huge_comm::stats::ClusterStats;
 use huge_comm::RpcFabric;
-use huge_core::operators::{run_extend, OpContext, ScanCursor, ScanPool};
+use huge_core::operators::{run_extend, MarkerPool, OpContext, ScanCursor, ScanPool};
 use huge_core::pool::WorkerPool;
 use huge_core::LoadBalance;
 use huge_graph::{gen, Partitioner};
@@ -20,6 +20,7 @@ fn bench_scan_and_extend(c: &mut Criterion) {
     let rpc = RpcFabric::new(Arc::clone(&partitions), stats);
     let cache = LrbuCache::new(32 << 20);
     let pool = WorkerPool::new(2, LoadBalance::WorkStealing);
+    let markers = MarkerPool::new(partitions[0].global_vertices(), None);
     let ctx = OpContext {
         machine: 0,
         partition: &partitions[0],
@@ -27,6 +28,7 @@ fn bench_scan_and_extend(c: &mut Criterion) {
         cache: &cache,
         use_cache: true,
         pool: &pool,
+        markers: &markers,
         batch_size: 16 * 1024,
     };
 

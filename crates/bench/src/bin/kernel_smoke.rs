@@ -30,8 +30,8 @@ use std::time::Instant;
 use huge_comm::stats::ClusterStats;
 use huge_comm::{ColBatch, RowBatch, RpcFabric};
 use huge_core::operators::{
-    run_extend, run_extend_cols, run_extend_count, run_extend_count_cols, OpContext, ScanCursor,
-    ScanPool,
+    run_extend, run_extend_cols, run_extend_count, run_extend_count_cols, MarkerPool, OpContext,
+    ScanCursor, ScanPool,
 };
 use huge_core::pool::WorkerPool;
 use huge_core::LoadBalance;
@@ -137,6 +137,7 @@ struct Fixture {
     parts: Vec<GraphPartition>,
     fabric: RpcFabric,
     pool: WorkerPool,
+    markers: MarkerPool,
     caches: Vec<huge_cache::LrbuCache>,
     /// Scanned input batches, per machine, in both layouts.
     rows: Vec<Vec<RowBatch>>,
@@ -152,6 +153,7 @@ fn build_fixture(machines: usize, scan: &ScanOp) -> Fixture {
     }
     let fabric = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(machines));
     let pool = WorkerPool::new(2, LoadBalance::WorkStealing);
+    let markers = MarkerPool::new(parts[0].global_vertices(), None);
     let caches: Vec<huge_cache::LrbuCache> = (0..machines)
         .map(|_| huge_cache::LrbuCache::new(1 << 24))
         .collect();
@@ -165,6 +167,7 @@ fn build_fixture(machines: usize, scan: &ScanOp) -> Fixture {
             cache: &caches[m],
             use_cache: true,
             pool: &pool,
+            markers: &markers,
             batch_size: 2_048,
         };
         let mut cursor = ScanCursor::new(
@@ -186,6 +189,7 @@ fn build_fixture(machines: usize, scan: &ScanOp) -> Fixture {
         parts,
         fabric,
         pool,
+        markers,
         caches,
         rows,
         cols,
@@ -202,6 +206,7 @@ impl Fixture {
             cache: &self.caches[m],
             use_cache: true,
             pool: &self.pool,
+            markers: &self.markers,
             batch_size: 2_048,
         }
     }

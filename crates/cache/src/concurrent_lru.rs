@@ -70,7 +70,11 @@ impl ConcurrentLruCache {
 
 impl PullCache for ConcurrentLruCache {
     fn contains(&self, v: VertexId) -> bool {
-        self.shard(v).lock().map.contains_key(&v)
+        let found = self.shard(v).lock().map.contains_key(&v);
+        if !found {
+            self.stats.miss();
+        }
+        found
     }
 
     fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {

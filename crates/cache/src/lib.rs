@@ -100,6 +100,18 @@ mod tests {
     }
 
     #[test]
+    fn contains_records_the_miss_for_every_kind() {
+        for kind in CacheKind::ALL {
+            let cache = kind.build(1 << 20);
+            cache.insert(7, vec![1, 2, 3]);
+            assert!(cache.contains(7));
+            assert!(!cache.contains(8));
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses), (0, 1), "{}", kind.name());
+        }
+    }
+
+    #[test]
     fn names_are_distinct() {
         let mut names: Vec<&str> = CacheKind::ALL.iter().map(|k| k.name()).collect();
         names.sort();

@@ -87,7 +87,11 @@ impl LrbuCache {
 
 impl PullCache for LrbuCache {
     fn contains(&self, v: VertexId) -> bool {
-        self.inner.read().map.contains_key(&v)
+        let found = self.inner.read().map.contains_key(&v);
+        if !found {
+            self.stats.miss();
+        }
+        found
     }
 
     fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {

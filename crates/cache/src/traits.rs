@@ -71,7 +71,9 @@ impl AtomicCacheStats {
 /// batch currently being processed so they cannot be evicted mid-intersect.
 /// Designs that have no seal concept (plain LRUs) implement them as no-ops.
 pub trait PullCache: Send + Sync {
-    /// `true` if the vertex's adjacency list is cached.
+    /// `true` if the vertex's adjacency list is cached. A `false` answer is
+    /// recorded as a miss: the fetch stage asks before it fetches, so this
+    /// is where a cache-path fetch's miss is observed.
     fn contains(&self, v: VertexId) -> bool;
 
     /// Reads the cached adjacency list of `v`, invoking `f` with the data.

@@ -177,7 +177,11 @@ impl Default for InfiniteLruCache {
 
 impl PullCache for InfiniteLruCache {
     fn contains(&self, v: VertexId) -> bool {
-        self.inner.lock().map.contains_key(&v)
+        let found = self.inner.lock().map.contains_key(&v);
+        if !found {
+            self.stats.miss();
+        }
+        found
     }
 
     fn read(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) -> bool {

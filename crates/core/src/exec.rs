@@ -34,7 +34,7 @@ use huge_graph::GraphPartition;
 use huge_plan::translate::{ExtendOp, JoinOp, ScanOp};
 
 use crate::join::{key_hash, HashJoiner, JoinSide, JoinStream, MemoryTrackerHandle};
-use crate::operators::{run_extend_cols, run_extend_count_cols, ScanCursor, ScanPool};
+use crate::operators::{run_extend_cols, run_extend_count_cols, MarkerPool, ScanCursor, ScanPool};
 use crate::pool::WorkerPool;
 use crate::{EngineError, Result};
 
@@ -52,6 +52,8 @@ pub struct OpContext<'a> {
     pub use_cache: bool,
     /// The machine's worker pool.
     pub pool: &'a WorkerPool,
+    /// The machine's dense markers for hoisted `PULL-EXTEND` operands.
+    pub markers: &'a MarkerPool,
     /// Rows per output batch.
     pub batch_size: usize,
 }
@@ -611,6 +613,7 @@ mod tests {
     fn scan_extend_pipeline_counts_triangles_on_k8() {
         let (parts, rpc) = setup(2);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
         let mut total = 0u64;
         for (m, partition) in parts.iter().enumerate() {
             let cache = LrbuCache::new(1 << 20);
@@ -621,6 +624,7 @@ mod tests {
                 cache: &cache,
                 use_cache: true,
                 pool: &pool,
+                markers: &markers,
                 batch_size: 64,
             };
             let mut scan = ScanSource::new(
@@ -656,6 +660,7 @@ mod tests {
         let (parts, rpc) = setup(1);
         let cache = LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
         let ctx = OpContext {
             machine: 0,
             partition: &parts[0],
@@ -663,6 +668,7 @@ mod tests {
             cache: &cache,
             use_cache: true,
             pool: &pool,
+            markers: &markers,
             batch_size: 16,
         };
         let op = JoinOp {

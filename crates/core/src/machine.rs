@@ -43,6 +43,7 @@ use crate::exec::{
 use crate::governor::{MemoryGovernor, PressureLevel};
 use crate::join::{decode_rows, encode_rows, JoinSide, MemoryTrackerHandle};
 use crate::memory::MemoryTracker;
+use crate::operators::MarkerPool;
 use crate::pool::WorkerPool;
 use crate::report::{JoinReport, MachineReport};
 use crate::scheduler::{RunShared, SegmentShared, SegmentState};
@@ -182,6 +183,9 @@ pub struct MachineState {
     pub pool: WorkerPool,
     /// Memory tracker for intermediate results.
     pub memory: Arc<MemoryTracker>,
+    /// Dense markers for hoisted `PULL-EXTEND` operands (charged to
+    /// `memory`, released by [`MachineState::finish_run`]).
+    pub markers: MarkerPool,
     /// The run's memory governor (a no-op unless a budget is configured).
     pub governor: Arc<MemoryGovernor>,
     /// Engine configuration.
@@ -264,6 +268,7 @@ impl MachineState {
     ) -> Self {
         let workers = config.workers_per_machine;
         let pool = WorkerPool::new(workers, config.load_balance);
+        let markers = MarkerPool::new(partition.global_vertices(), Some(Arc::clone(&memory)));
         MachineState {
             machine,
             partition,
@@ -272,6 +277,7 @@ impl MachineState {
             rpc,
             pool,
             memory,
+            markers,
             governor,
             config,
             spill_dir,
@@ -361,6 +367,7 @@ impl MachineState {
         self.join_ctl.clear();
         self.ship_seen.clear();
         self.pending_ships.clear();
+        self.markers.clear();
     }
 
     /// Produces the per-machine report after a run.
@@ -394,6 +401,7 @@ impl MachineState {
             cache: self.cache.as_ref(),
             use_cache: !self.config.disable_cache,
             pool: &self.pool,
+            markers: &self.markers,
             batch_size: self.effective_batch_size(),
         }
     }
@@ -494,6 +502,9 @@ impl MachineState {
                     // adopted from the first copy, but the ack may have raced
                     // the retransmit — re-ack so the victim settles (it drops
                     // duplicate acks through its `pending_ships` ledger).
+                    // Like a stale data envelope, the copy counts as a dedup
+                    // drop, balancing the victim's `transport_dups`.
+                    self.rpc.stats().machine(self.machine).record_dedup_drop();
                     self.router.send_control(
                         from,
                         ControlMsg::ShipAck {

@@ -4,16 +4,19 @@
 //! terminal in [`crate::machine`].)
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use huge_comm::{ColBatch, RowBatch};
-use huge_graph::kernels::{self, KernelKind, KernelTally};
+use huge_graph::kernels::{self, HubBitmap, KernelKind, KernelTally};
 use huge_graph::VertexId;
 use huge_plan::translate::{ExtendOp, OrderFilter, ScanOp};
 use parking_lot::Mutex;
 
 pub use crate::exec::OpContext;
+use crate::memory::MemoryTracker;
 
 /// Applies the symmetry-breaking filters of an operator to a row.
 #[inline]
@@ -442,64 +445,6 @@ fn flush_tally(ctx: &OpContext<'_>, tally: &KernelTally) {
     }
 }
 
-/// How the non-hub half of the kernel dispatch is resolved.
-///
-/// The hub class needs no choice — an indexed hub always dispatches to the
-/// bitmap kernel. The list class either re-runs [`kernels::select_kernel`]
-/// per intersection call (the row-major paths) or uses one kernel picked up
-/// front for the whole batch (the columnar paths, via
-/// [`plan_batch_kernel`]), hoisting the dispatch out of the per-candidate
-/// loop.
-#[derive(Clone, Copy)]
-enum ListKernel {
-    /// Cardinality comparison per intersection call.
-    Adaptive,
-    /// One pre-selected kernel for every non-hub step of the batch.
-    Fixed(KernelKind),
-}
-
-/// Picks the list kernel once per batch for the columnar paths.
-///
-/// Samples the degree spread of the extend columns (smallest vs. largest
-/// degree per row — the shape every intersection step of that row sees) and
-/// runs the per-call selection rule on the sampled means. Hub vertices are
-/// excluded: they dispatch to the bitmap kernel regardless of what is
-/// chosen here. Any outcome is correct on any row; the pick only decides
-/// which kernel the batch's non-hub steps run without re-deriving it per
-/// candidate.
-fn plan_batch_kernel(op: &ExtendOp, input: &ColBatch, ctx: &OpContext<'_>) -> KernelKind {
-    const SAMPLE: usize = 128;
-    let rows = input.len();
-    if rows == 0 || op.ext_positions.len() < 2 {
-        // Single-list extensions never intersect; nothing to pick.
-        return KernelKind::Merge;
-    }
-    let step = rows.div_ceil(SAMPLE).max(1);
-    let (mut small_sum, mut large_sum, mut sampled) = (0usize, 0usize, 0usize);
-    for i in (0..rows).step_by(step) {
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for &pos in &op.ext_positions {
-            let v = input.value(pos, i);
-            if ctx.partition.hub_bitmap(v).is_some() {
-                continue;
-            }
-            let d = ctx.partition.degree(v);
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if lo != usize::MAX {
-            small_sum += lo;
-            large_sum += hi;
-            sampled += 1;
-        }
-    }
-    if sampled == 0 {
-        // Every sampled vertex is an indexed hub; the list kernel is moot.
-        return KernelKind::Merge;
-    }
-    kernels::select_kernel(small_sum / sampled, large_sum / sampled, false)
-}
-
 /// Intersects the adjacency lists of `exts` (already sorted smallest-degree
 /// first) into `scratch`, dispatching every step through the adaptive
 /// kernel family: hub bitmaps for indexed high-degree vertices, galloping
@@ -511,7 +456,6 @@ fn intersect_ext_lists(
     batch_table: &HashMap<VertexId, Vec<VertexId>>,
     scratch: &mut Vec<VertexId>,
     tally: &mut KernelTally,
-    list: ListKernel,
 ) {
     scratch.clear();
     let mut first = true;
@@ -533,16 +477,9 @@ fn intersect_ext_lists(
             tally.bump(KernelKind::Bitmap);
             continue;
         }
-        let used = match list {
-            ListKernel::Adaptive => with_neighbours(ctx, batch_table, v, |nbrs| {
-                kernels::intersect_in_place(scratch, nbrs)
-            }),
-            ListKernel::Fixed(kind) => with_neighbours(ctx, batch_table, v, |nbrs| {
-                kernels::intersect_in_place_with(scratch, nbrs, kind);
-                kind
-            }),
-        };
-        match used {
+        match with_neighbours(ctx, batch_table, v, |nbrs| {
+            kernels::intersect_in_place(scratch, nbrs)
+        }) {
             Some(kind) => tally.bump(kind),
             None => scratch.clear(),
         }
@@ -554,7 +491,6 @@ fn intersect_ext_lists(
 /// ordered smallest-degree first — degree is metadata every machine reads
 /// for free — so the accumulator starts minimal and skew is maximal, which
 /// is what lets the galloping and bitmap branches win.
-#[allow(clippy::too_many_arguments)]
 fn gather_candidates(
     op: &ExtendOp,
     row: &[VertexId],
@@ -563,12 +499,11 @@ fn gather_candidates(
     exts: &mut Vec<VertexId>,
     scratch: &mut Vec<VertexId>,
     tally: &mut KernelTally,
-    list: ListKernel,
 ) {
     exts.clear();
     exts.extend(op.ext_positions.iter().map(|&p| row[p]));
     exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-    intersect_ext_lists(exts, ctx, batch_table, scratch, tally, list);
+    intersect_ext_lists(exts, ctx, batch_table, scratch, tally);
 }
 
 /// Injectivity plus order filters for one candidate against the *output*
@@ -634,16 +569,7 @@ fn extend_one_row(
     }
 
     // Match mode: multiway intersection of the neighbourhoods (Equation 2).
-    gather_candidates(
-        op,
-        row,
-        ctx,
-        batch_table,
-        exts,
-        scratch,
-        tally,
-        ListKernel::Adaptive,
-    );
+    gather_candidates(op, row, ctx, batch_table, exts, scratch, tally);
     for &candidate in scratch.iter() {
         if candidate_passes(op, row, candidate) {
             sink.emit_extended(row, candidate);
@@ -698,7 +624,8 @@ pub struct ExtendColsOutput {
 /// selection vector over the input's columns. *Match* mode gathers the
 /// prefix columns once per output column (dense sequential writes) and
 /// appends exactly one new candidate column — no `arity + 1`-wide row
-/// rewrites.
+/// rewrites. Extends over two or more lists hoist their run-invariant
+/// operands (see [`HoistedRun`]).
 pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> ExtendColsOutput {
     let (batch_table, fetch_time) = fetch_stage_cols(op, &input, ctx);
     let ranges = intersect_ranges(input.len(), ctx);
@@ -738,34 +665,52 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
     }
 
     // Match mode: workers emit (logical row, candidate) pairs; the output
-    // columns are then assembled column-at-a-time. The list kernel is
-    // picked once for the whole batch — the per-candidate loop below runs
-    // dispatch-free.
-    let list = ListKernel::Fixed(plan_batch_kernel(op, input_ref, ctx));
+    // columns are then assembled column-at-a-time.
+    let split = HoistSplit::of(op, input.arity());
     let run = ctx
         .pool
         .run(ranges, |(start, end), out: &mut Vec<VertexId>| {
             let mut row: Vec<VertexId> = Vec::new();
-            let mut exts: Vec<VertexId> = Vec::new();
             let mut scratch: Vec<VertexId> = Vec::new();
             let mut tally = KernelTally::default();
-            for i in start..end {
-                row.clear();
-                input_ref.read_row(i, &mut row);
-                gather_candidates(
-                    op,
-                    &row,
-                    ctx,
-                    batch_table,
-                    &mut exts,
-                    &mut scratch,
-                    &mut tally,
-                    list,
-                );
-                for &candidate in scratch.iter() {
-                    if candidate_passes(op, &row, candidate) {
+            let mut emit = |i: usize, row: &[VertexId], candidates: &[VertexId]| {
+                for &candidate in candidates {
+                    if candidate_passes(op, row, candidate) {
                         out.push(i as u32);
                         out.push(candidate);
+                    }
+                }
+            };
+            match &split {
+                Some(split) => {
+                    let mut hoist = HoistedRun::new(split, ctx.markers);
+                    for i in start..end {
+                        row.clear();
+                        input_ref.read_row(i, &mut row);
+                        let Some(range) = CandidateRange::of(op, &row) else {
+                            continue;
+                        };
+                        hoist.enter(&row, ctx, batch_table, &mut tally);
+                        hoist.candidates(&row, range, ctx, batch_table, &mut scratch, &mut tally);
+                        emit(i, &row, &scratch);
+                    }
+                    hoist.finish();
+                }
+                None => {
+                    let mut exts: Vec<VertexId> = Vec::new();
+                    for i in start..end {
+                        row.clear();
+                        input_ref.read_row(i, &mut row);
+                        gather_candidates(
+                            op,
+                            &row,
+                            ctx,
+                            batch_table,
+                            &mut exts,
+                            &mut scratch,
+                            &mut tally,
+                        );
+                        emit(i, &row, &scratch);
                     }
                 }
             }
@@ -799,13 +744,12 @@ pub fn run_extend_cols(op: &ExtendOp, input: ColBatch, ctx: &OpContext<'_>) -> E
 /// Counts the extensions of one columnar batch without materialising
 /// anything the kernels can avoid.
 ///
-/// The candidate-position order filters are turned into a `(lo, hi)` value
-/// range and the *largest* extend list is never written: with one extend
-/// list the count is two `partition_point`s; with several, all but the
-/// largest are intersected into a scratch accumulator and the final step
-/// runs an `intersect_count_*` twin (bitmap twin for indexed hubs).
-/// Injectivity is restored by subtracting the bound row values that would
-/// have been counted.
+/// The candidate-position order filters are turned into a value range
+/// ([`CandidateRange`]) and no candidate is ever written: with one extend
+/// list the count is two `partition_point`s; with several, each row runs a
+/// count twin (or a marker probe) of its varying list against the run's
+/// hoisted set H ([`HoistedRun`]). Injectivity is restored by subtracting
+/// the bound row values that would have been counted.
 pub fn run_extend_count_cols(
     op: &ExtendOp,
     input: &ColBatch,
@@ -814,26 +758,32 @@ pub fn run_extend_count_cols(
     let (batch_table, fetch_time) = fetch_stage_cols(op, input, ctx);
     let ranges = intersect_ranges(input.len(), ctx);
     let batch_table = &batch_table;
-    let list = ListKernel::Fixed(plan_batch_kernel(op, input, ctx));
+    let split = HoistSplit::of(op, input.arity());
     let run = ctx.pool.run(ranges, |(start, end), out: &mut Vec<u64>| {
         let mut row: Vec<VertexId> = Vec::new();
-        let mut exts: Vec<VertexId> = Vec::new();
-        let mut scratch: Vec<VertexId> = Vec::new();
         let mut tally = KernelTally::default();
         let mut count = 0u64;
-        for i in start..end {
-            row.clear();
-            input.read_row(i, &mut row);
-            count += count_one_row(
-                op,
-                &row,
-                ctx,
-                batch_table,
-                &mut exts,
-                &mut scratch,
-                &mut tally,
-                list,
-            );
+        match &split {
+            Some(split) => {
+                let mut hoist = HoistedRun::new(split, ctx.markers);
+                for i in start..end {
+                    row.clear();
+                    input.read_row(i, &mut row);
+                    let Some(range) = CandidateRange::of(op, &row) else {
+                        continue;
+                    };
+                    hoist.enter(&row, ctx, batch_table, &mut tally);
+                    count += hoist.count(&row, range, ctx, batch_table, &mut tally);
+                }
+                hoist.finish();
+            }
+            None => {
+                for i in start..end {
+                    row.clear();
+                    input.read_row(i, &mut row);
+                    count += count_one_row(op, &row, ctx, batch_table);
+                }
+            }
         }
         flush_tally(ctx, &tally);
         out.push(count);
@@ -848,110 +798,517 @@ pub fn run_extend_count_cols(
     }
 }
 
-/// Counts the extensions of one row via the kernel count twins.
-#[allow(clippy::too_many_arguments)]
+/// The candidate position's order filters of one row as an open value
+/// range `(lo, hi)`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct CandidateRange {
+    lo: Option<VertexId>,
+    hi: Option<VertexId>,
+}
+
+impl CandidateRange {
+    /// Splits the order filters of `row`'s extension: filters among bound
+    /// positions gate the whole row (`None` when one fails); filters
+    /// against the candidate position become the range.
+    fn of(op: &ExtendOp, row: &[VertexId]) -> Option<CandidateRange> {
+        let n = row.len();
+        let mut range = CandidateRange { lo: None, hi: None };
+        for f in &op.filters {
+            if f.larger == n {
+                let b = row[f.smaller];
+                range.lo = Some(range.lo.map_or(b, |x| x.max(b)));
+            } else if f.smaller == n {
+                let b = row[f.larger];
+                range.hi = Some(range.hi.map_or(b, |x| x.min(b)));
+            } else if row[f.smaller] >= row[f.larger] {
+                return None;
+            }
+        }
+        Some(range)
+    }
+
+    #[inline]
+    fn contains(&self, x: VertexId) -> bool {
+        self.lo.is_none_or(|l| x > l) && self.hi.is_none_or(|h| x < h)
+    }
+
+    /// The index range of a sorted list's elements inside the range.
+    #[inline]
+    fn bounds(&self, s: &[VertexId]) -> (usize, usize) {
+        let a = match self.lo {
+            Some(l) => s.partition_point(|&x| x <= l),
+            None => 0,
+        };
+        let b = match self.hi {
+            Some(h) => s.partition_point(|&x| x < h),
+            None => s.len(),
+        };
+        (a, b.max(a))
+    }
+
+    #[inline]
+    fn slice<'s>(&self, s: &'s [VertexId]) -> &'s [VertexId] {
+        let (a, b) = self.bounds(s);
+        &s[a..b]
+    }
+}
+
+/// Counts the extensions of one row (verify mode or a single extend list);
+/// extends over several lists go through [`HoistedRun::count`].
 fn count_one_row(
     op: &ExtendOp,
     row: &[VertexId],
     ctx: &OpContext<'_>,
     batch_table: &HashMap<VertexId, Vec<VertexId>>,
-    exts: &mut Vec<VertexId>,
-    scratch: &mut Vec<VertexId>,
-    tally: &mut KernelTally,
-    list: ListKernel,
 ) -> u64 {
     if let Some(vpos) = op.verify_position {
         return verify_one_row(op, vpos, row, ctx, batch_table) as u64;
     }
-
-    // Split the order filters: filters among bound positions gate the whole
-    // row; filters against the candidate position become a value range.
-    let n = row.len();
-    let mut lo: Option<VertexId> = None;
-    let mut hi: Option<VertexId> = None;
-    for f in &op.filters {
-        if f.larger == n {
-            let b = row[f.smaller];
-            lo = Some(lo.map_or(b, |x| x.max(b)));
-        } else if f.smaller == n {
-            let b = row[f.larger];
-            hi = Some(hi.map_or(b, |x| x.min(b)));
-        } else if row[f.smaller] >= row[f.larger] {
-            return 0;
-        }
-    }
-    let in_range = |x: VertexId| lo.is_none_or(|l| x > l) && hi.is_none_or(|h| x < h);
-    fn range_slice(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
-        let a = match lo {
-            Some(l) => s.partition_point(|&x| x <= l),
-            None => 0,
-        };
-        let b = match hi {
-            Some(h) => s.partition_point(|&x| x < h),
-            None => s.len(),
-        };
-        &s[a..b.max(a)]
-    }
-    // Distinct bound values that an unconstrained count would wrongly
-    // include (injectivity corrections).
-    let distinct = |idx: usize| !row[..idx].contains(&row[idx]);
-
-    exts.clear();
-    exts.extend(op.ext_positions.iter().map(|&p| row[p]));
-    exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
-    let (&last, rest) = exts.split_last().expect("extend needs positions");
-
-    // Materialise every list except the largest.
-    intersect_ext_lists(rest, ctx, batch_table, scratch, tally, list);
-    let single = rest.is_empty();
-    if !single && scratch.is_empty() {
+    let Some(range) = CandidateRange::of(op, row) else {
         return 0;
-    }
-
-    if !single {
-        if let Some(bm) = ctx.partition.hub_bitmap(last) {
-            let s = range_slice(scratch, lo, hi);
-            let mut count = kernels::intersect_count_bitmap(s, bm);
-            tally.bump(KernelKind::Bitmap);
-            for (idx, &r) in row.iter().enumerate() {
-                if distinct(idx) && in_range(r) && bm.contains(r) && s.binary_search(&r).is_ok() {
-                    count -= 1;
-                }
+    };
+    let v = row[op.ext_positions[0]];
+    with_neighbours(ctx, batch_table, v, |nbrs| {
+        let nb = range.slice(nbrs);
+        let mut count = nb.len() as u64;
+        // Distinct bound values an unconstrained count would wrongly
+        // include (injectivity corrections).
+        for (idx, &r) in row.iter().enumerate() {
+            if !row[..idx].contains(&r) && range.contains(r) && nb.binary_search(&r).is_ok() {
+                count -= 1;
             }
-            return count;
         }
-    }
-
-    with_neighbours(ctx, batch_table, last, |nbrs| {
-        let nb = range_slice(nbrs, lo, hi);
-        if single {
-            let mut count = nb.len() as u64;
-            for (idx, &r) in row.iter().enumerate() {
-                if distinct(idx) && in_range(r) && nb.binary_search(&r).is_ok() {
-                    count -= 1;
-                }
-            }
-            count
-        } else {
-            let s = range_slice(scratch, lo, hi);
-            let (mut count, kind) = match list {
-                ListKernel::Adaptive => kernels::intersect_count_adaptive(s, nb),
-                ListKernel::Fixed(kind) => (kernels::intersect_count_with(s, nb, kind), kind),
-            };
-            tally.bump(kind);
-            for (idx, &r) in row.iter().enumerate() {
-                if distinct(idx)
-                    && in_range(r)
-                    && nb.binary_search(&r).is_ok()
-                    && s.binary_search(&r).is_ok()
-                {
-                    count -= 1;
-                }
-            }
-            count
-        }
+        count
     })
     .unwrap_or(0)
+}
+
+// ---------------------------------------------------------------------------
+// Operand hoisting
+// ---------------------------------------------------------------------------
+
+/// Largest global vertex count for which hoisted extends keep a dense
+/// marker over H (one bit per vertex: 2 MiB per worker at the limit).
+/// Larger graphs intersect every row against the sorted H instead.
+const MARKER_MAX_VERTICES: usize = 1 << 24;
+
+/// A dense bitset over global vertex ids. Between runs it is all-zero: a
+/// run clears exactly the bits it set, so reuse never pays for a full
+/// reset.
+struct VertexMarker {
+    words: Vec<u64>,
+}
+
+impl VertexMarker {
+    fn new(vertices: usize) -> Self {
+        VertexMarker {
+            words: vec![0; vertices.div_ceil(64)],
+        }
+    }
+
+    fn mark(&mut self, vs: &[VertexId]) {
+        for &v in vs {
+            self.words[(v >> 6) as usize] |= 1u64 << (v & 63);
+        }
+    }
+
+    fn unmark(&mut self, vs: &[VertexId]) {
+        for &v in vs {
+            self.words[(v >> 6) as usize] &= !(1u64 << (v & 63));
+        }
+    }
+
+    #[inline]
+    fn contains(&self, v: VertexId) -> bool {
+        (self.words[(v >> 6) as usize] >> (v & 63)) & 1 == 1
+    }
+
+    fn is_clear(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn byte_size(&self) -> u64 {
+        (self.words.len() * std::mem::size_of::<u64>()) as u64
+    }
+}
+
+/// A machine's store of the dense markers its hoisted `PULL-EXTEND`s
+/// probe.
+///
+/// A work item checks a marker out when one of its runs first reuses H
+/// and hands it back, all-zero, when it ends. The pool therefore holds at
+/// most one marker per concurrently running work item (one per worker),
+/// reused across work items and batches. Every marker is charged to the
+/// attached memory tracker until [`MarkerPool::clear`] (or drop).
+pub struct MarkerPool {
+    vertices: usize,
+    free: Mutex<Vec<VertexMarker>>,
+    memory: Option<Arc<MemoryTracker>>,
+    charged: AtomicU64,
+}
+
+impl MarkerPool {
+    /// A pool of markers over `vertices` global vertex ids, charged to
+    /// `memory` when given.
+    pub fn new(vertices: usize, memory: Option<Arc<MemoryTracker>>) -> Self {
+        MarkerPool {
+            vertices,
+            free: Mutex::new(Vec::new()),
+            memory,
+            charged: AtomicU64::new(0),
+        }
+    }
+
+    /// Checks a marker out, creating (and charging) one if none is free.
+    /// `None` when the graph is too large for dense markers.
+    fn take(&self) -> Option<VertexMarker> {
+        if self.vertices > MARKER_MAX_VERTICES {
+            return None;
+        }
+        if let Some(marker) = self.free.lock().pop() {
+            return Some(marker);
+        }
+        let marker = VertexMarker::new(self.vertices);
+        let bytes = marker.byte_size();
+        self.charged.fetch_add(bytes, Ordering::Relaxed);
+        if let Some(memory) = &self.memory {
+            memory.allocate(bytes);
+        }
+        Some(marker)
+    }
+
+    /// Returns a marker for reuse. It must be all-zero.
+    fn put(&self, marker: VertexMarker) {
+        debug_assert!(marker.is_clear(), "marker returned with bits set");
+        self.free.lock().push(marker);
+    }
+
+    /// Drops every marker and releases its charge.
+    pub(crate) fn clear(&self) {
+        self.free.lock().clear();
+        let bytes = self.charged.swap(0, Ordering::Relaxed);
+        if let Some(memory) = &self.memory {
+            memory.release(bytes);
+        }
+    }
+}
+
+impl Drop for MarkerPool {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+/// How a multi-list extend splits its lists for operand hoisting.
+///
+/// The columnar extend emits all rows of one input row next to each other,
+/// so every column but the newest repeats across long runs of rows. The
+/// lists of those *invariant* positions intersect to the same set H along
+/// a run; only the newest column's list *varies* from row to row.
+struct HoistSplit {
+    /// Extend positions whose values key a run.
+    invariant: Vec<usize>,
+    /// The newest input column, when it is an extend position.
+    varying: Option<usize>,
+}
+
+impl HoistSplit {
+    /// `None` for verify mode and single-list extends, which keep the
+    /// per-row path.
+    fn of(op: &ExtendOp, arity: usize) -> Option<HoistSplit> {
+        if op.verify_position.is_some() || op.ext_positions.len() < 2 {
+            return None;
+        }
+        let newest = arity - 1;
+        let varying = op.ext_positions.contains(&newest).then_some(newest);
+        let invariant = op
+            .ext_positions
+            .iter()
+            .copied()
+            .filter(|&p| Some(p) != varying)
+            .collect();
+        Some(HoistSplit { invariant, varying })
+    }
+}
+
+/// How one row meets its run's H.
+#[derive(Clone, Copy)]
+enum Probe<'a> {
+    /// Walk the varying range, probing the marker over H (tallied as
+    /// `Bitmap`: one dense-bitmap membership test per element).
+    Marker,
+    /// Walk H through the varying vertex's hub bitmap.
+    Hub(&'a HubBitmap),
+    /// Merge or gallop H against the varying range.
+    Lists,
+}
+
+/// One work item's operand-hoisting state for a multi-list extend
+/// (BENU's common-subexpression elimination, applied to a batch).
+///
+/// H, the intersection of the invariant lists, is computed once per run
+/// of rows with equal invariant values. Each row then intersects only its
+/// varying list, sliced to the row's candidate range, with H:
+///
+/// * the first row of a run merges or gallops against H;
+/// * from the second row on, H is marked into a dense [`VertexMarker`]
+///   and each row walks its varying range probing the marker. Only the
+///   part of H that rows have asked for is marked, so marking never costs
+///   more than the merges it replaces;
+/// * a varying range ≥ [`kernels::GALLOP_RATIO`]× longer than H's walks H
+///   instead, through the hub bitmap when the varying vertex is an
+///   indexed hub.
+///
+/// Runs never cross a work item: [`HoistedRun::finish`] unmarks and
+/// returns the marker.
+struct HoistedRun<'c> {
+    split: &'c HoistSplit,
+    markers: &'c MarkerPool,
+    /// Invariant values of the current run.
+    key: Vec<VertexId>,
+    /// H when it is one local adjacency list, read in place.
+    local: Option<&'c [VertexId]>,
+    /// H otherwise, built by the multiway kernels.
+    owned: Vec<VertexId>,
+    /// Rows of the current run seen so far (0 before the first row).
+    rows: usize,
+    /// The last candidate range looked up in H and its index range.
+    h_range: Option<(CandidateRange, Range<usize>)>,
+    /// Checked out of `markers` when a run first reuses H.
+    marker: Option<VertexMarker>,
+    /// Indices of H whose elements are set in `marker` (empty: none).
+    marked: Range<usize>,
+    /// The invariant vertices, smallest degree first (a reused buffer).
+    exts: Vec<VertexId>,
+}
+
+impl<'c> HoistedRun<'c> {
+    fn new(split: &'c HoistSplit, markers: &'c MarkerPool) -> Self {
+        HoistedRun {
+            split,
+            markers,
+            key: Vec::with_capacity(split.invariant.len()),
+            local: None,
+            owned: Vec::new(),
+            rows: 0,
+            h_range: None,
+            marker: None,
+            marked: 0..0,
+            exts: Vec::new(),
+        }
+    }
+
+    /// Places `row` in a run: continues the current one when its invariant
+    /// values match, otherwise ends it and computes the new run's H.
+    fn enter(
+        &mut self,
+        row: &[VertexId],
+        ctx: &OpContext<'c>,
+        batch_table: &HashMap<VertexId, Vec<VertexId>>,
+        tally: &mut KernelTally,
+    ) {
+        let inv = &self.split.invariant;
+        if self.rows > 0 && inv.iter().zip(&self.key).all(|(&p, &k)| row[p] == k) {
+            self.rows += 1;
+            return;
+        }
+        self.end_run();
+        self.rows = 1;
+        self.h_range = None;
+        self.key.clear();
+        self.key.extend(inv.iter().map(|&p| row[p]));
+        self.local = match self.key[..] {
+            [v] if ctx.partition.is_local(v) => Some(ctx.partition.local_neighbours(v)),
+            _ => None,
+        };
+        if self.local.is_none() {
+            self.exts.clear();
+            self.exts.extend_from_slice(&self.key);
+            self.exts.sort_unstable_by_key(|&v| ctx.partition.degree(v));
+            intersect_ext_lists(&self.exts, ctx, batch_table, &mut self.owned, tally);
+        }
+    }
+
+    /// The current run's H.
+    #[inline]
+    fn h(&self) -> &[VertexId] {
+        self.local.unwrap_or(&self.owned)
+    }
+
+    /// The indices of H inside `range`. Rows of a run often share their
+    /// range, so the last lookup is remembered.
+    fn h_bounds(&mut self, range: CandidateRange) -> Range<usize> {
+        match &self.h_range {
+            Some((r, hr)) if *r == range => hr.clone(),
+            _ => {
+                let (a, b) = range.bounds(self.h());
+                self.h_range = Some((range, a..b));
+                a..b
+            }
+        }
+    }
+
+    /// Picks how a row whose candidates lie in `H[hr]` meets a varying
+    /// range of `nb_len` elements. Choosing [`Probe::Marker`] marks the
+    /// part of `H[hr]` not marked yet.
+    fn probe(
+        &mut self,
+        v: VertexId,
+        hr: Range<usize>,
+        nb_len: usize,
+        ctx: &OpContext<'c>,
+    ) -> Probe<'c> {
+        if nb_len >= hr.len().saturating_mul(kernels::GALLOP_RATIO) {
+            return match ctx.partition.hub_bitmap(v) {
+                Some(bm) => Probe::Hub(bm),
+                None => Probe::Lists,
+            };
+        }
+        if self.rows < 2 {
+            return Probe::Lists;
+        }
+        if self.marker.is_none() {
+            self.marker = self.markers.take();
+        }
+        let Some(marker) = self.marker.as_mut() else {
+            return Probe::Lists;
+        };
+        let h = self.local.unwrap_or(&self.owned);
+        let m = &self.marked;
+        if m.is_empty() {
+            marker.mark(&h[hr.clone()]);
+            self.marked = hr;
+        } else {
+            // Grow the marked interval to the hull of both.
+            if hr.start < m.start {
+                marker.mark(&h[hr.start..m.start]);
+            }
+            if hr.end > m.end {
+                marker.mark(&h[m.end..hr.end]);
+            }
+            self.marked = hr.start.min(m.start)..hr.end.max(m.end);
+        }
+        Probe::Marker
+    }
+
+    /// Counts the current row's extensions: `|H ∩ N(varying)|` inside the
+    /// candidate range, minus the bound values it wrongly includes.
+    fn count(
+        &mut self,
+        row: &[VertexId],
+        range: CandidateRange,
+        ctx: &OpContext<'c>,
+        batch_table: &HashMap<VertexId, Vec<VertexId>>,
+        tally: &mut KernelTally,
+    ) -> u64 {
+        let hr = self.h_bounds(range);
+        if hr.is_empty() {
+            return 0;
+        }
+        // Injectivity: distinct bound values in range that the count
+        // included.
+        let wrongly_counted = |counted: &dyn Fn(VertexId) -> bool| {
+            row.iter()
+                .enumerate()
+                .filter(|&(idx, &r)| range.contains(r) && counted(r) && !row[..idx].contains(&r))
+                .count() as u64
+        };
+        let Some(vpos) = self.split.varying else {
+            let hs = &self.h()[hr.clone()];
+            return hs.len() as u64 - wrongly_counted(&|r| hs.binary_search(&r).is_ok());
+        };
+        let v = row[vpos];
+        with_neighbours(ctx, batch_table, v, |nbrs| {
+            let nb = range.slice(nbrs);
+            if nb.is_empty() {
+                return 0;
+            }
+            let probe = self.probe(v, hr.clone(), nb.len(), ctx);
+            let hs = &self.h()[hr.clone()];
+            match (probe, &self.marker) {
+                (Probe::Marker, Some(marker)) => {
+                    tally.bump(KernelKind::Bitmap);
+                    let count = nb.iter().filter(|&&x| marker.contains(x)).count() as u64;
+                    count - wrongly_counted(&|r| marker.contains(r) && nb.binary_search(&r).is_ok())
+                }
+                (probe, _) => {
+                    let count = if let Probe::Hub(bm) = probe {
+                        tally.bump(KernelKind::Bitmap);
+                        kernels::intersect_count_bitmap(hs, bm)
+                    } else {
+                        let (count, kind) = kernels::intersect_count_adaptive(hs, nb);
+                        tally.bump(kind);
+                        count
+                    };
+                    count
+                        - wrongly_counted(&|r| {
+                            nb.binary_search(&r).is_ok() && hs.binary_search(&r).is_ok()
+                        })
+                }
+            }
+        })
+        .unwrap_or(0)
+    }
+
+    /// Writes the current row's raw candidates, `H ∩ N(varying)` inside the
+    /// candidate range, into `out` (injectivity and order filters are the
+    /// caller's).
+    fn candidates(
+        &mut self,
+        row: &[VertexId],
+        range: CandidateRange,
+        ctx: &OpContext<'c>,
+        batch_table: &HashMap<VertexId, Vec<VertexId>>,
+        out: &mut Vec<VertexId>,
+        tally: &mut KernelTally,
+    ) {
+        out.clear();
+        let hr = self.h_bounds(range);
+        if hr.is_empty() {
+            return;
+        }
+        let Some(vpos) = self.split.varying else {
+            out.extend_from_slice(&self.h()[hr]);
+            return;
+        };
+        let v = row[vpos];
+        with_neighbours(ctx, batch_table, v, |nbrs| {
+            let nb = range.slice(nbrs);
+            if nb.is_empty() {
+                return;
+            }
+            let probe = self.probe(v, hr.clone(), nb.len(), ctx);
+            let hs = &self.h()[hr.clone()];
+            match (probe, &self.marker) {
+                (Probe::Marker, Some(marker)) => {
+                    tally.bump(KernelKind::Bitmap);
+                    out.extend(nb.iter().copied().filter(|&x| marker.contains(x)));
+                }
+                (Probe::Hub(bm), _) => {
+                    tally.bump(KernelKind::Bitmap);
+                    kernels::intersect_bitmap_into(hs, bm, out);
+                }
+                _ => tally.bump(kernels::intersect_adaptive_into(hs, nb, out)),
+            }
+        });
+    }
+
+    /// Ends the current run: unmarks what it marked, leaving the marker
+    /// all-zero.
+    fn end_run(&mut self) {
+        if let Some(marker) = self.marker.as_mut() {
+            marker.unmark(&self.local.unwrap_or(&self.owned)[self.marked.clone()]);
+        }
+        self.marked = 0..0;
+    }
+
+    /// Ends the work item's last run and returns the marker to the pool.
+    fn finish(mut self) {
+        self.end_run();
+        if let Some(marker) = self.marker.take() {
+            self.markers.put(marker);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -978,6 +1335,7 @@ mod tests {
         rpc: &'a RpcFabric,
         cache: &'a dyn PullCache,
         pool: &'a WorkerPool,
+        markers: &'a MarkerPool,
     ) -> OpContext<'a> {
         OpContext {
             machine,
@@ -986,6 +1344,7 @@ mod tests {
             cache,
             use_cache: true,
             pool,
+            markers,
             batch_size: 1024,
         }
     }
@@ -995,9 +1354,10 @@ mod tests {
         let (parts, rpc) = setup(2);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
         let mut total = 0;
         for m in 0..2 {
-            let c = ctx(m, &parts, &rpc, &cache, &pool);
+            let c = ctx(m, &parts, &rpc, &cache, &pool, &markers);
             let scan = ScanOp {
                 src: 0,
                 dst: 1,
@@ -1017,7 +1377,8 @@ mod tests {
         let (parts, rpc) = setup(1);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
         let scan = ScanOp {
             src: 0,
             dst: 1,
@@ -1041,10 +1402,11 @@ mod tests {
     fn extend_counts_triangles_on_k8() {
         let (parts, rpc) = setup(2);
         let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
         let mut total = 0;
         for m in 0..2 {
             let cache = huge_cache::LrbuCache::new(1 << 20);
-            let c = ctx(m, &parts, &rpc, &cache, &pool);
+            let c = ctx(m, &parts, &rpc, &cache, &pool, &markers);
             let scan = ScanOp {
                 src: 0,
                 dst: 1,
@@ -1078,7 +1440,8 @@ mod tests {
         let (parts, rpc) = setup(1);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
         // Rows over K8 vertices: verify that column 0 is adjacent to column 1.
         let mut input = RowBatch::new(2);
         input.push_row(&[0, 1]);
@@ -1100,7 +1463,8 @@ mod tests {
         let (parts, rpc) = setup(2);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let mut c = ctx(0, &parts, &rpc, &cache, &pool);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let mut c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
         c.use_cache = false;
         let mut input = RowBatch::new(2);
         input.push_row(&[0, 1]);
@@ -1133,12 +1497,13 @@ mod tests {
     fn columnar_extend_matches_row_major_on_k8() {
         let (parts, rpc) = setup(2);
         let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
         let mut row_total = 0;
         let mut col_total = 0;
         let mut count_total = 0;
         for m in 0..2 {
             let cache = huge_cache::LrbuCache::new(1 << 20);
-            let c = ctx(m, &parts, &rpc, &cache, &pool);
+            let c = ctx(m, &parts, &rpc, &cache, &pool, &markers);
             let scan = ScanOp {
                 src: 0,
                 dst: 1,
@@ -1182,7 +1547,8 @@ mod tests {
         let (parts, rpc) = setup(1);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
         let mut input = ColBatch::new(2);
         input.push_row(&[0, 1]);
         input.push_row(&[2, 2]); // self pair: 2 is not its own neighbour
@@ -1203,43 +1569,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_kernel_plan_reflects_degree_spread() {
-        let ext = ExtendOp {
-            target: 2,
-            ext_positions: vec![0, 1],
-            verify_position: None,
-            filters: vec![],
-            comm: CommMode::Pulling,
-        };
-
-        // Balanced degrees (K8: every vertex has degree 7) → merge.
-        let (parts, rpc) = setup(1);
-        let cache = huge_cache::LrbuCache::new(1 << 20);
-        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
-        let mut balanced = ColBatch::new(2);
-        balanced.push_row(&[0, 1]);
-        assert_eq!(plan_batch_kernel(&ext, &balanced, &c), KernelKind::Merge);
-
-        // Empty batches and single-list extensions have nothing to pick.
-        let empty = ColBatch::new(2);
-        assert_eq!(plan_batch_kernel(&ext, &empty, &c), KernelKind::Merge);
-
-        // ≥ GALLOP_RATIO× degree spread between the extend columns → gallop.
-        let mut edges: Vec<(VertexId, VertexId)> = (1..=512u32).map(|v| (0, v)).collect();
-        edges.push((1, 2));
-        edges.push((1, 3));
-        let g = huge_graph::Graph::from_edges(edges);
-        let parts = Partitioner::new(1).unwrap().partition(g);
-        let stats = ClusterStats::new(1);
-        let rpc = RpcFabric::new(Arc::new(parts.clone()), stats);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
-        let mut skewed = ColBatch::new(2);
-        skewed.push_row(&[1, 0]); // degree 3 vs. degree 512
-        assert_eq!(plan_batch_kernel(&ext, &skewed, &c), KernelKind::Gallop);
-    }
-
-    #[test]
     fn columnar_count_uses_hub_bitmaps() {
         let g = gen::barabasi_albert(400, 6, 3);
         let mut parts = Partitioner::new(1).unwrap().partition(g);
@@ -1248,7 +1577,8 @@ mod tests {
         let rpc = RpcFabric::new(Arc::new(parts.clone()), stats);
         let cache = huge_cache::LrbuCache::new(1 << 20);
         let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
-        let c = ctx(0, &parts, &rpc, &cache, &pool);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
         let scan = ScanOp {
             src: 0,
             dst: 1,
@@ -1281,5 +1611,274 @@ mod tests {
             snap.kernel_bitmap > 0,
             "hub bitmaps must be dispatched on a BA graph: {snap:?}"
         );
+    }
+
+    // -----------------------------------------------------------------------
+    // Operand hoisting: the columnar paths against the row-major oracle
+    // -----------------------------------------------------------------------
+
+    /// A BA graph with plenty of indexed hubs (threshold 8), split over `k`
+    /// machines.
+    fn hub_graph(k: usize) -> (Vec<GraphPartition>, RpcFabric) {
+        let g = gen::barabasi_albert(300, 5, 17);
+        let mut parts = Partitioner::new(k).unwrap().partition(g);
+        for p in &mut parts {
+            p.build_hub_index(8);
+        }
+        let rpc = RpcFabric::new(Arc::new(parts.clone()), ClusterStats::new(k));
+        (parts, rpc)
+    }
+
+    /// `(v0, v1, v2)` paths with `v0` local to `machine`, ordered `v0`
+    /// outermost: long runs of equal `v0`, and runs of equal `(v0, v1)`.
+    fn path_rows(parts: &[GraphPartition], machine: usize, starts: usize) -> ColBatch {
+        let g = parts[machine].shared_graph();
+        let mut batch = ColBatch::new(3);
+        // Spread the starts over the id range: low ids are the hubs.
+        let local = parts[machine].local_vertices();
+        for &v0 in local.iter().step_by(local.len().div_ceil(starts)) {
+            for &v1 in g.neighbours(v0) {
+                for &v2 in g.neighbours(v1) {
+                    if v2 != v0 {
+                        batch.push_row(&[v0, v1, v2]);
+                    }
+                }
+            }
+        }
+        batch
+    }
+
+    /// The same rows, dealt round-robin across their `v0` groups so that
+    /// consecutive rows never share `v0`: every run has length 1.
+    fn alternate_v0(input: &ColBatch) -> ColBatch {
+        let mut groups: Vec<Vec<Vec<VertexId>>> = Vec::new();
+        let mut row = Vec::new();
+        for i in 0..input.len() {
+            row.clear();
+            input.read_row(i, &mut row);
+            match groups.last_mut() {
+                Some(g) if g[0][0] == row[0] => g.push(row.clone()),
+                _ => groups.push(vec![row.clone()]),
+            }
+        }
+        let mut out = ColBatch::new(input.arity());
+        for i in 0.. {
+            let before = out.len();
+            for g in &groups {
+                if let Some(r) = g.get(i) {
+                    out.push_row(r);
+                }
+            }
+            if out.len() == before {
+                break;
+            }
+        }
+        out
+    }
+
+    fn rows_of(batch: &RowBatch) -> Vec<Vec<VertexId>> {
+        let mut rows: Vec<Vec<VertexId>> = batch.rows().map(<[VertexId]>::to_vec).collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Runs the row-major oracle (`run_extend`, `run_extend_count`) and
+    /// both columnar paths over `input`, whole and split into batches of
+    /// `chunk` rows, and checks that all agree. Returns the count.
+    fn assert_parity(op: &ExtendOp, input: &ColBatch, chunk: usize, c: &OpContext<'_>) -> u64 {
+        let rows = input.to_rows();
+        let want = rows_of(&run_extend(op, &rows, c).batch);
+        let n = want.len() as u64;
+        assert_eq!(run_extend_count(op, &rows, c).count, n, "row-major count");
+        assert_eq!(
+            rows_of(&run_extend_cols(op, input.clone(), c).batch.to_rows()),
+            want
+        );
+        assert_eq!(
+            run_extend_count_cols(op, input, c).count,
+            n,
+            "columnar count"
+        );
+        let (mut split_rows, mut split_count) = (RowBatch::new(input.arity() + 1), 0);
+        for piece in input.clone().split_into_chunks(chunk) {
+            split_count += run_extend_count_cols(op, &piece, c).count;
+            split_rows.append(&mut run_extend_cols(op, piece, c).batch.into_rows());
+        }
+        assert_eq!(split_count, n, "split columnar count");
+        assert_eq!(rows_of(&split_rows), want, "split columnar rows");
+        n
+    }
+
+    fn extend(ext_positions: Vec<usize>, filters: &[(usize, usize)]) -> ExtendOp {
+        ExtendOp {
+            target: 3,
+            ext_positions,
+            verify_position: None,
+            filters: filters
+                .iter()
+                .map(|&(smaller, larger)| OrderFilter { smaller, larger })
+                .collect(),
+            comm: CommMode::Pulling,
+        }
+    }
+
+    /// Order-filter sets over rows of arity 3 (the candidate is column 3):
+    /// none, a `lo` bound, a `hi` bound, both, and both plus a filter among
+    /// bound columns that gates whole rows.
+    const FILTER_SETS: [&[(usize, usize)]; 5] = [
+        &[],
+        &[(0, 3)],
+        &[(3, 1)],
+        &[(0, 3), (3, 2)],
+        &[(0, 3), (3, 1), (0, 2)],
+    ];
+
+    /// Extend shapes over rows `(v0, v1, v2)`: one invariant list and the
+    /// varying one, two invariant lists and the varying one, and invariant
+    /// lists only.
+    const SHAPES: [&[usize]; 3] = [&[0, 2], &[0, 1, 2], &[0, 1]];
+
+    #[test]
+    fn hoisted_extend_matches_row_major_oracle() {
+        for k in [1, 2] {
+            let (parts, rpc) = hub_graph(k);
+            let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+            let tracker = Arc::new(MemoryTracker::new());
+            let markers = MarkerPool::new(parts[0].global_vertices(), Some(Arc::clone(&tracker)));
+            for m in 0..k {
+                let cache = huge_cache::LrbuCache::new(1 << 22);
+                let c = ctx(m, &parts, &rpc, &cache, &pool, &markers);
+                let long = path_rows(&parts, m, 12);
+                assert!(
+                    long.len() > 1024,
+                    "runs must span work items: {}",
+                    long.len()
+                );
+                let short = alternate_v0(&long);
+                for shape in SHAPES {
+                    for filters in FILTER_SETS {
+                        let op = extend(shape.to_vec(), filters);
+                        let n = assert_parity(&op, &long, 97, &c);
+                        assert_eq!(assert_parity(&op, &short, 97, &c), n);
+                    }
+                }
+            }
+            // Long runs reused H, so a marker was created and charged.
+            assert!(tracker.current() > 0);
+            markers.clear();
+            assert_eq!(tracker.current(), 0);
+        }
+    }
+
+    #[test]
+    fn hoisted_extend_subtracts_bound_values_inside_the_candidate_set() {
+        // With only a `lo` bound, v1 ∈ N(v0) ∩ N(v2) lies in range whenever
+        // v1 > v0: the raw count includes it and injectivity must remove it.
+        let (parts, rpc) = hub_graph(1);
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let cache = huge_cache::LrbuCache::new(1 << 22);
+        let c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
+        let input = path_rows(&parts, 0, 12);
+        let op = extend(vec![0, 2], &[(0, 3)]);
+        let n = assert_parity(&op, &input, 1 << 20, &c);
+        let raw: u64 = (0..input.len())
+            .map(|i| {
+                let g = parts[0].shared_graph();
+                let (v0, v2) = (input.value(0, i), input.value(2, i));
+                huge_graph::graph::intersect_sorted(g.neighbours(v0), g.neighbours(v2))
+                    .into_iter()
+                    .filter(|&x| x > v0)
+                    .count() as u64
+            })
+            .sum();
+        assert!(
+            raw > n,
+            "the input must exercise the correction ({raw} vs {n})"
+        );
+    }
+
+    #[test]
+    fn hoisted_extend_walks_h_through_a_varying_hub() {
+        // No markers (the vertex count is over the limit), one invariant
+        // list: every bitmap tally is a walk of H through a varying hub.
+        let (parts, rpc) = hub_graph(1);
+        let pool = WorkerPool::new(1, crate::config::LoadBalance::WorkStealing);
+        let tracker = Arc::new(MemoryTracker::new());
+        let markers = MarkerPool::new(MARKER_MAX_VERTICES + 1, Some(Arc::clone(&tracker)));
+        let cache = huge_cache::LrbuCache::new(1 << 22);
+        let c = ctx(0, &parts, &rpc, &cache, &pool, &markers);
+        let input = path_rows(&parts, 0, 12);
+        let op = extend(vec![0, 2], &[(0, 3), (3, 1)]);
+        let before = rpc.stats().total();
+        assert_parity(&op, &input, 97, &c);
+        let after = rpc.stats().total();
+        assert!(after.kernel_bitmap > before.kernel_bitmap, "{after:?}");
+        assert_eq!(tracker.peak(), 0, "no marker above the limit");
+    }
+
+    #[test]
+    fn hoisted_extend_without_cache_uses_batch_table() {
+        let (parts, rpc) = hub_graph(2);
+        let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        let cache = huge_cache::LrbuCache::new(1 << 22);
+        for m in 0..2 {
+            let mut c = ctx(m, &parts, &rpc, &cache, &pool, &markers);
+            c.use_cache = false;
+            let input = path_rows(&parts, m, 8);
+            for shape in SHAPES {
+                assert_parity(&extend(shape.to_vec(), &[(0, 3), (3, 2)]), &input, 97, &c);
+            }
+        }
+        assert_eq!(cache.len(), 0, "cache must stay untouched when disabled");
+    }
+
+    #[test]
+    fn hoisted_extend_survives_evictions_in_lru_variants() {
+        // A tiny Exp-6 LRU evicts entries between the fetch and intersect
+        // stages; the extend falls back to an accounted pull.
+        let (parts, rpc) = hub_graph(2);
+        let pool = WorkerPool::new(2, crate::config::LoadBalance::WorkStealing);
+        let markers = MarkerPool::new(parts[0].global_vertices(), None);
+        for kind in [
+            huge_cache::CacheKind::ConcurrentLru,
+            huge_cache::CacheKind::LruInfinite,
+        ] {
+            for m in 0..2 {
+                let cache = kind.build(256);
+                let c = ctx(m, &parts, &rpc, cache.as_ref(), &pool, &markers);
+                let input = alternate_v0(&path_rows(&parts, m, 8));
+                for shape in SHAPES {
+                    assert_parity(&extend(shape.to_vec(), &[(3, 1)]), &input, 97, &c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn marker_pool_reuses_and_releases_markers() {
+        let tracker = Arc::new(MemoryTracker::new());
+        let pool = MarkerPool::new(1000, Some(Arc::clone(&tracker)));
+        let mut a = pool.take().expect("under the limit");
+        a.mark(&[3, 64, 999]);
+        assert!(a.contains(64) && a.contains(999) && !a.contains(65));
+        a.unmark(&[3, 64, 999]);
+        assert!(a.is_clear());
+        let bytes = a.byte_size();
+        assert_eq!(bytes, 16 * 8);
+        pool.put(a);
+        let b = pool.take().expect("reused");
+        assert_eq!(
+            tracker.current(),
+            bytes,
+            "a reused marker is not charged twice"
+        );
+        pool.put(b);
+        drop(pool);
+        assert_eq!(tracker.current(), 0);
+        assert!(MarkerPool::new(MARKER_MAX_VERTICES + 1, None)
+            .take()
+            .is_none());
     }
 }

@@ -319,24 +319,11 @@ pub fn intersect_count_bitmap(query: &[VertexId], hub: &HubBitmap) -> u64 {
 /// on cardinality skew. Returns the kernel used so callers can tally it.
 ///
 /// This is the one shared in-place compaction used by `intersect_many` and
-/// the operator layer's multiway extension loop.
+/// the operator layer's multiway extension loop. The galloping branch still
+/// checks which side is smaller: the accumulator shrinks as a multiway
+/// intersection proceeds, so the galloped side can flip between calls.
 pub fn intersect_in_place(acc: &mut Vec<VertexId>, other: &[VertexId]) -> KernelKind {
     let kind = select_kernel(acc.len(), other.len(), false);
-    intersect_in_place_with(acc, other, kind);
-    kind
-}
-
-/// Dispatch-free twin of [`intersect_in_place`]: runs a *pre-selected*
-/// kernel instead of calling [`select_kernel`] per invocation.
-///
-/// Callers that process whole batches (the columnar `PULL-EXTEND`) pick the
-/// kernel once per batch and hub class and hand it down here, hoisting the
-/// cardinality comparison out of the per-candidate loop. Any `kind` is
-/// correct on any input — the choice only affects speed. `Bitmap` has no
-/// bitmap operand in list form and falls back to the merge loop; `Gallop`
-/// still branches on which side is smaller (the accumulator shrinks as the
-/// multiway intersection proceeds, so the galloped side can flip mid-batch).
-pub fn intersect_in_place_with(acc: &mut Vec<VertexId>, other: &[VertexId], kind: KernelKind) {
     let mut w = 0usize;
     match kind {
         KernelKind::Merge | KernelKind::Bitmap => {
@@ -386,19 +373,27 @@ pub fn intersect_in_place_with(acc: &mut Vec<VertexId>, other: &[VertexId], kind
         }
     }
     acc.truncate(w);
+    kind
 }
 
-/// Dispatch-free count twin: counts `|a ∩ b|` with a pre-selected kernel.
-///
-/// Orders the operands internally for the galloping twin; `Bitmap` falls
-/// back to the merge twin (use [`intersect_count_bitmap`] when the actual
-/// bitmap is at hand). Like [`intersect_in_place_with`], any `kind` is
-/// correct on any input.
-pub fn intersect_count_with(a: &[VertexId], b: &[VertexId], kind: KernelKind) -> u64 {
+/// Appends `a ∩ b` to `out`, dispatching between the merge and galloping
+/// kernels on skew (use [`intersect_bitmap_into`] directly when a hub
+/// bitmap is cached). Returns the kernel used.
+pub fn intersect_adaptive_into(
+    a: &[VertexId],
+    b: &[VertexId],
+    out: &mut Vec<VertexId>,
+) -> KernelKind {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    match kind {
-        KernelKind::Gallop => intersect_count_gallop(small, large),
-        _ => intersect_count_merge(small, large),
+    match select_kernel(small.len(), large.len(), false) {
+        KernelKind::Gallop => {
+            intersect_gallop_into(small, large, out);
+            KernelKind::Gallop
+        }
+        _ => {
+            intersect_merge_into(small, large, out);
+            KernelKind::Merge
+        }
     }
 }
 
@@ -406,8 +401,11 @@ pub fn intersect_count_with(a: &[VertexId], b: &[VertexId], kind: KernelKind) ->
 /// twins on skew (use [`intersect_count_bitmap`] directly when a hub bitmap
 /// is cached). Returns the count and the kernel used.
 pub fn intersect_count_adaptive(a: &[VertexId], b: &[VertexId]) -> (u64, KernelKind) {
-    let kind = select_kernel(a.len(), b.len(), false);
-    (intersect_count_with(a, b, kind), kind)
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    match select_kernel(small.len(), large.len(), false) {
+        KernelKind::Gallop => (intersect_count_gallop(small, large), KernelKind::Gallop),
+        _ => (intersect_count_merge(small, large), KernelKind::Merge),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -582,32 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_kind_variants_match_adaptive_on_every_kind() {
-        // Any pre-selected kind must produce the same set/count as the
-        // adaptive dispatcher — the batch-level hoist relies on this.
-        let shapes = [
-            (strided(64, 3, 0), strided(64, 2, 0)),   // balanced
-            (strided(8, 50, 0), strided(1024, 5, 0)), // small acc, large list
-            (strided(1024, 5, 0), strided(8, 50, 0)), // large acc, small list
-            (Vec::new(), strided(16, 2, 0)),          // empty acc
-            (strided(16, 2, 0), Vec::new()),          // empty list
-        ];
-        for (acc0, other) in &shapes {
-            let want = intersect_sorted(acc0, other);
-            for kind in [KernelKind::Merge, KernelKind::Gallop, KernelKind::Bitmap] {
-                let mut acc = acc0.clone();
-                intersect_in_place_with(&mut acc, other, kind);
-                assert_eq!(acc, want, "in-place {kind:?}");
-                assert_eq!(
-                    intersect_count_with(acc0, other, kind),
-                    want.len() as u64,
-                    "count {kind:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn count_adaptive_matches_reference() {
         let a = strided(10, 100, 0);
         let b = strided(2000, 4, 0);
@@ -617,6 +589,23 @@ mod tests {
         let (n2, kind2) = intersect_count_adaptive(&b, &a);
         assert_eq!(n2, n);
         assert_eq!(kind2, KernelKind::Gallop);
+    }
+
+    #[test]
+    fn adaptive_into_matches_reference() {
+        let a = strided(10, 100, 0);
+        let b = strided(2000, 4, 0);
+        let want = intersect_sorted(&a, &b);
+        let mut out = Vec::new();
+        assert_eq!(
+            intersect_adaptive_into(&b, &a, &mut out),
+            KernelKind::Gallop
+        );
+        assert_eq!(out, want);
+        let c = strided(300, 3, 0);
+        out.clear();
+        assert_eq!(intersect_adaptive_into(&c, &b, &mut out), KernelKind::Merge);
+        assert_eq!(out, intersect_sorted(&c, &b));
     }
 
     #[test]

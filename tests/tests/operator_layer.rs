@@ -8,7 +8,7 @@ use std::sync::Arc;
 use huge_baselines::exec::{scan_star, wco_extend_pushing, BaselineCtx};
 use huge_baselines::Baseline;
 use huge_core::exec::{BatchOperator, OpContext, PullExtend, ScanSource};
-use huge_core::operators::ScanPool;
+use huge_core::operators::{MarkerPool, ScanPool};
 use huge_core::pool::WorkerPool;
 use huge_core::{ClusterConfig, HugeCluster, LoadBalance, OpPoll, SinkMode};
 use huge_graph::{gen, Graph, Partitioner};
@@ -67,6 +67,7 @@ fn exec_layer_pipeline_matches_reference() {
     let stats = huge_comm::ClusterStats::new(k);
     let rpc = huge_comm::RpcFabric::new(Arc::new(parts.clone()), stats.clone());
     let pool = WorkerPool::new(1, LoadBalance::WorkStealing);
+    let markers = MarkerPool::new(parts[0].global_vertices(), None);
 
     let mut total = 0u64;
     for (m, partition) in parts.iter().enumerate() {
@@ -78,6 +79,7 @@ fn exec_layer_pipeline_matches_reference() {
             cache: &cache,
             use_cache: true,
             pool: &pool,
+            markers: &markers,
             batch_size: 256,
         };
         let mut scan = ScanSource::new(
