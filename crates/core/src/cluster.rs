@@ -282,63 +282,27 @@ impl HugeCluster {
             .collect();
         let run_shared = RunShared::new(shared_segments, cancel.clone());
 
-        let threads_spawned = AtomicUsize::new(0);
         let start = Instant::now();
-        let run_result: Result<()> = if self.config.pipeline_segments {
-            // Barrier-free execution: one thread per machine for the whole
-            // run; each drives all segments through the dataflow scheduler.
-            let mut outcome: Vec<Result<()>> = Vec::with_capacity(k);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(k);
-                for state in machines.iter_mut() {
-                    let run_shared = &run_shared;
-                    let segment_plans = &segment_plans;
-                    threads_spawned.fetch_add(1, Ordering::Relaxed);
-                    handles
-                        .push(scope.spawn(move || state.run_all(segment_plans, run_shared, sink)));
-                }
-                for handle in handles {
-                    outcome.push(match handle.join() {
-                        Ok(res) => res,
-                        Err(_) => Err(EngineError::WorkerPanic(
-                            "machine thread panicked".to_string(),
-                        )),
-                    });
-                }
-            });
-            collapse_outcomes(outcome)
-        } else {
-            // Historic barriered execution: machine threads are spawned and
-            // joined per segment (the escape hatch the `barrier` experiment
-            // quantifies).
-            let mut res = Ok(());
-            for (idx, plan) in segment_plans.iter().enumerate() {
-                let mut outcome: Vec<Result<()>> = Vec::with_capacity(k);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(k);
-                    for state in machines.iter_mut() {
-                        let run_shared = &run_shared;
-                        threads_spawned.fetch_add(1, Ordering::Relaxed);
-                        handles.push(
-                            scope.spawn(move || state.run_segment(idx, plan, run_shared, sink)),
-                        );
-                    }
-                    for handle in handles {
-                        outcome.push(match handle.join() {
-                            Ok(res) => res,
-                            Err(_) => Err(EngineError::WorkerPanic(
-                                "machine thread panicked".to_string(),
-                            )),
-                        });
-                    }
-                });
-                res = collapse_outcomes(outcome);
-                if res.is_err() {
-                    break;
-                }
+        // One thread per machine for the whole run; each drives all segments
+        // through the dataflow scheduler.
+        let mut outcome: Vec<Result<()>> = Vec::with_capacity(k);
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(k);
+            for state in machines.iter_mut() {
+                let run_shared = &run_shared;
+                let segment_plans = &segment_plans;
+                handles.push(scope.spawn(move || state.run_all(segment_plans, run_shared, sink)));
             }
-            res
-        };
+            for handle in handles {
+                outcome.push(match handle.join() {
+                    Ok(res) => res,
+                    Err(_) => Err(EngineError::WorkerPanic(
+                        "machine thread panicked".to_string(),
+                    )),
+                });
+            }
+        });
+        let run_result = collapse_outcomes(outcome);
         let compute_time = start.elapsed();
 
         // Teardown sweep — runs whatever the outcome. Finishing each machine
@@ -482,8 +446,6 @@ impl HugeCluster {
             peak_memory_bytes,
             cache,
             fetch_time,
-            pipelined: self.config.pipeline_segments,
-            machine_threads_spawned: threads_spawned.load(Ordering::Relaxed),
             governor: governor_report,
             join,
             machines: machine_reports,

@@ -161,7 +161,7 @@ pub struct ClusterConfig {
     /// sealed-but-unprobed partitions from busy peers through the router's
     /// control plane, so one hot partition no longer serialises the join
     /// phase. Requires inter-machine stealing (the same Exp-8 knob covers
-    /// both layers) and a pipelined multi-machine run to have any effect.
+    /// both layers) and a multi-machine run to have any effect.
     pub partition_stealing: bool,
     /// Enable speculative sealing: producers broadcast per-source-machine
     /// end-of-stream control envelopes when they finish feeding a join, and
@@ -170,12 +170,6 @@ pub struct ClusterConfig {
     /// counter gate. The lead is reported per run
     /// ([`JoinReport::seal_lead`](crate::report::JoinReport)).
     pub speculative_sealing: bool,
-    /// Execute segments without barriers (default): each machine thread is
-    /// spawned once per run and drives all segments by readiness, so a fast
-    /// machine moves on while a straggler finishes. `false` restores the
-    /// historic barriered execution (machine threads joined between
-    /// segments), the escape hatch the `barrier` experiment quantifies.
-    pub pipeline_segments: bool,
     /// Global byte budget for intermediate-result memory across the cluster.
     /// When set, the run instantiates a
     /// [`MemoryGovernor`](crate::governor::MemoryGovernor) that enforces the
@@ -246,7 +240,6 @@ impl ClusterConfig {
             inter_machine_stealing: true,
             partition_stealing: true,
             speculative_sealing: true,
-            pipeline_segments: true,
             memory_budget: None,
             memory_budget_per_machine: None,
             fault_plan: Vec::new(),
@@ -352,12 +345,6 @@ impl ClusterConfig {
         self.governor_exit_yellow = exit_yellow;
         self.governor_enter_red = enter_red;
         self.governor_exit_red = exit_red;
-        self
-    }
-
-    /// Enables or disables barrier-free cross-segment pipelining.
-    pub fn pipeline_segments(mut self, pipelined: bool) -> Self {
-        self.pipeline_segments = pipelined;
         self
     }
 
@@ -596,16 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_defaults_on_and_toggles() {
+    fn fault_plan_defaults_empty_and_appends() {
         let cfg = ClusterConfig::new(2);
-        assert!(cfg.pipeline_segments);
         assert!(cfg.fault_plan.is_empty());
         // `inject_fault` appends to the plan (each call adds one spec).
         let cfg = cfg
-            .pipeline_segments(false)
             .inject_fault(1, 0, Fault::Delay(Duration::from_millis(5)))
             .inject_fault(0, 1, Fault::Panic);
-        assert!(!cfg.pipeline_segments);
         assert_eq!(
             cfg.fault_plan,
             vec![

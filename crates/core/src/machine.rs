@@ -58,6 +58,13 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 /// Red pressure into an IO storm).
 const SPILL_WATERMARK_BYTES: u64 = 64 * 1024;
 
+/// The largest cluster the skew-handling protocol covers. Per-machine
+/// evidence is kept as `u64` bitmasks indexed by machine id (`1u64 << m`):
+/// [`MachineState::eos_seen`] for speculative sealing and
+/// [`JoinSteal::tried`] for partition stealing. Larger clusters fall back to
+/// counter-gated seals and finish join segments without stealing.
+const MAX_MASKED_MACHINES: usize = u64::BITS as usize;
+
 /// What happens to a segment's output rows.
 #[derive(Clone, Debug)]
 pub enum Terminal {
@@ -127,9 +134,9 @@ impl ChainSource {
     }
 }
 
-/// One segment's instantiated operator chain on one machine. Under the
-/// pipelined scheduler a chain persists across scheduler visits (a draining
-/// segment is revisited to steal from peers) until the segment finishes.
+/// One segment's instantiated operator chain on one machine. A chain
+/// persists across scheduler visits (a draining segment is revisited to
+/// steal from peers) until the segment finishes.
 struct SegmentChain {
     source: ChainSource,
     extends: Vec<PullExtend>,
@@ -223,7 +230,7 @@ pub struct MachineState {
     join_feeds: HashMap<usize, (usize, JoinSide)>,
     /// Per-source end-of-stream evidence: producing segment id → bitmask of
     /// machines that broadcast [`ControlMsg::Eos`] for it (the speculative
-    /// sealing gate).
+    /// sealing gate). A `u64` mask, hence [`MAX_MASKED_MACHINES`].
     eos_seen: HashMap<usize, u64>,
     /// Steal requests received but not yet answered, per join segment.
     steal_requests: HashMap<usize, VecDeque<MachineId>>,
@@ -761,22 +768,6 @@ impl MachineState {
         self.trace.seg_mark_end(idx);
     }
 
-    /// Releases this machine's end-of-stream slot for segment `idx` and
-    /// nudges parked peers to re-check readiness: once every machine has
-    /// released, the segment's shuffle output is complete and consuming
-    /// joins may seal.
-    ///
-    /// For shuffle-producing segments an [`ControlMsg::Eos`] is broadcast
-    /// first (speculative sealing): every push of this segment has already
-    /// completed, so consumers holding EOS evidence from all `k` machines
-    /// may seal and probe *before* the release counter drains — the control
-    /// envelope races ahead of the counter because it is sent before the
-    /// `fetch_sub` and wakes the consumer directly.
-    fn release_segment(&mut self, idx: usize, plan: &SegmentPlan, run: &RunShared) {
-        self.broadcast_eos(plan);
-        self.release_counter(idx, run);
-    }
-
     /// The lossy-transport delivery barrier a shuffle producer runs before
     /// announcing end-of-stream: every envelope this machine still owes the
     /// segment's consumers (stashed behind a reorder/slow gate or awaiting
@@ -811,13 +802,14 @@ impl MachineState {
     /// Broadcasts this machine's `ControlMsg::Eos` for a shuffle-producing
     /// segment once every push of the segment has completed (own chain and
     /// stolen work alike). Returns whether envelopes went out — the
-    /// pipelined scheduler then defers the counter settle one visit
+    /// scheduler then defers the counter settle one visit
     /// ([`SegmentState::Releasing`]) so the EOS evidence genuinely races
-    /// ahead of the coarse counter gate.
+    /// ahead of the coarse counter gate: consumers holding EOS evidence from
+    /// all `k` machines may seal and probe before the counter drains.
     fn broadcast_eos(&mut self, plan: &SegmentPlan) -> bool {
         let k = self.router.num_machines();
         if !(self.config.speculative_sealing
-            && k <= 64
+            && k <= MAX_MASKED_MACHINES
             && matches!(plan.terminal, Terminal::FeedJoin { .. }))
         {
             return false;
@@ -833,6 +825,27 @@ impl MachineState {
         true
     }
 
+    /// Completes segment `idx` on this machine once its chain has no local
+    /// or stealable work left: delivers everything still owed over the lossy
+    /// transport, harvests the chain, then either broadcasts EOS (the
+    /// counter settles on the next visit, [`SegmentState::Releasing`]) or
+    /// settles the release counter at once. Returns the segment's new state.
+    fn complete_segment(
+        &mut self,
+        idx: usize,
+        plan: &SegmentPlan,
+        chain: &mut SegmentChain,
+        run: &RunShared,
+    ) -> Result<SegmentState> {
+        self.flush_segment_transport(plan, run)?;
+        self.finish_chain(idx, chain);
+        if self.broadcast_eos(plan) {
+            return Ok(SegmentState::Releasing);
+        }
+        self.release_counter(idx, run);
+        Ok(SegmentState::Done)
+    }
+
     /// Settles this machine's slot on the segment's release counter and
     /// nudges every parked peer to re-check readiness.
     fn release_counter(&mut self, idx: usize, run: &RunShared) {
@@ -843,16 +856,15 @@ impl MachineState {
     }
 
     // -----------------------------------------------------------------------
-    // The per-machine dataflow scheduler (pipelined execution)
+    // The per-machine dataflow scheduler
     // -----------------------------------------------------------------------
 
     /// Drives *all* segments of the run to completion from this machine's
-    /// single thread: the barrier-free replacement for per-segment
-    /// spawn/join. Segments advance through
-    /// [`SegmentState`](crate::scheduler::SegmentState); the next segment is
-    /// picked deepest-first among the runnable ones (DFS bias — drain
-    /// consumers before growing producers). Any failure (or panic) aborts
-    /// the whole run and unparks every peer.
+    /// single thread, with no barrier between segments. Segments advance
+    /// through [`SegmentState`](crate::scheduler::SegmentState); the next
+    /// segment is picked deepest-first among the runnable ones (DFS bias —
+    /// drain consumers before growing producers). Any failure (or panic)
+    /// aborts the whole run and unparks every peer.
     pub fn run_all(
         &mut self,
         plans: &[SegmentPlan],
@@ -921,7 +933,6 @@ impl MachineState {
                         // speculative lead the join report measures.
                         self.release_counter(idx, run);
                         states[idx] = SegmentState::Done;
-                        done += 1;
                         progressed = true;
                     }
                     SegmentState::NotStarted => {
@@ -948,21 +959,15 @@ impl MachineState {
                             && self.config.inter_machine_stealing
                             && match chain.source {
                                 ChainSource::Scan(_) => true,
-                                ChainSource::Join(_) => self.config.partition_stealing && k <= 64,
+                                ChainSource::Join(_) => {
+                                    self.config.partition_stealing && k <= MAX_MASKED_MACHINES
+                                }
                             };
                         if drains {
                             states[idx] = SegmentState::Draining;
                             chains[idx] = Some(chain);
                         } else {
-                            self.flush_segment_transport(plan, run)?;
-                            self.finish_chain(idx, &mut chain);
-                            if self.broadcast_eos(plan) {
-                                states[idx] = SegmentState::Releasing;
-                            } else {
-                                self.release_counter(idx, run);
-                                states[idx] = SegmentState::Done;
-                                done += 1;
-                            }
+                            states[idx] = self.complete_segment(idx, plan, &mut chain, run)?;
                         }
                         self.record_segment_busy(idx, start.elapsed());
                         progressed = true;
@@ -989,15 +994,7 @@ impl MachineState {
                                 break;
                             }
                             StealOutcome::AllIdle => {
-                                self.flush_segment_transport(plan, run)?;
-                                self.finish_chain(idx, &mut chain);
-                                if self.broadcast_eos(plan) {
-                                    states[idx] = SegmentState::Releasing;
-                                } else {
-                                    self.release_counter(idx, run);
-                                    states[idx] = SegmentState::Done;
-                                    done += 1;
-                                }
+                                states[idx] = self.complete_segment(idx, plan, &mut chain, run)?;
                                 self.record_segment_busy(idx, start.elapsed());
                                 progressed = true;
                                 break;
@@ -1019,6 +1016,7 @@ impl MachineState {
                     }
                 }
             }
+            done = states.iter().filter(|&&s| s == SegmentState::Done).count();
             if !progressed && done < n {
                 // Nothing runnable: park on the inbox (absorbing whatever
                 // arrives) until a peer finishes a segment or pushes data.
@@ -1040,80 +1038,6 @@ impl MachineState {
             self.router.wait_data(PARK_TIMEOUT);
         }
         self.finalize_speculative_leads();
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------------
-    // Barriered execution (the `pipeline_segments = false` escape hatch)
-    // -----------------------------------------------------------------------
-
-    /// Runs one segment to completion (own work, then stolen work, then a
-    /// lingering absorb until every machine has finished the segment).
-    ///
-    /// Whatever the outcome, this machine's slot on the segment's
-    /// end-of-stream counter is released — an erroring (or panicking)
-    /// machine flags the run as aborted so its peers bail out of
-    /// backpressure, stealing and linger loops instead of waiting forever.
-    pub fn run_segment(
-        &mut self,
-        idx: usize,
-        plan: &SegmentPlan,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        let seg = &run.segments[idx];
-        let panic_guard = AbortOnPanic(run);
-        let mut result = self.run_segment_inner(idx, plan, seg, run, sink);
-        if result.is_ok() {
-            // Deliver everything still owed over the lossy transport before
-            // announcing end-of-stream (failed runs release regardless — the
-            // abort flag stops consumers from trusting the stream anyway).
-            result = self.flush_segment_transport(plan, run);
-        }
-        if result.is_err() {
-            run.abort();
-        }
-        // Release our end-of-stream slot and nudge parked peers.
-        self.release_segment(idx, plan, run);
-        // Linger: keep absorbing the inbox until every machine is done with
-        // this segment, so producers blocked on our bounded inbox always
-        // drain. The machine parks on the router between sweeps.
-        let linger = (|| -> Result<()> {
-            while !seg.is_done() && !run.is_aborted() {
-                run.check_cancel()?;
-                self.absorb_inbox()?;
-                self.router.wait_data(PARK_TIMEOUT);
-            }
-            self.absorb_inbox()
-        })();
-        if linger.is_err() {
-            run.abort();
-        }
-        drop(panic_guard);
-        result.and(linger)
-    }
-
-    /// The fallible body of [`MachineState::run_segment`]: instantiates the
-    /// segment's operators and drives them with the BFS/DFS-adaptive
-    /// scheduler below, then steals until the cluster is idle.
-    fn run_segment_inner(
-        &mut self,
-        idx: usize,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        let start = Instant::now();
-        self.note_segment_start(idx);
-        self.maybe_inject_fault(idx)?;
-        let mut chain = self.build_chain(plan, seg, sink)?;
-        self.run_chain(&mut chain, plan, seg, run, sink)?;
-        if matches!(chain.source, ChainSource::Scan(_)) && self.config.inter_machine_stealing {
-            self.steal_loop(&mut chain, plan, seg, run, sink)?;
-        }
-        self.finish_chain(idx, &mut chain);
-        self.record_segment_busy(idx, start.elapsed());
         Ok(())
     }
 
@@ -1332,9 +1256,9 @@ impl MachineState {
             return Ok(StealOutcome::AllIdle);
         }
         // Drop the idle flag *before* scanning for work: the instant every
-        // flag is set doubles as the segment's end-of-stream
-        // ([`SegmentShared::is_done`]), so a machine must never hold (or be
-        // acquiring) work while it advertises idleness.
+        // flag is set ends the segment on every machine (`AllIdle`), so a
+        // machine must never hold (or be acquiring) work while it
+        // advertises idleness.
         seg.idle[self.machine].store(false, Ordering::SeqCst);
         let mut stolen_any = false;
         for offset in 1..k {
@@ -1383,30 +1307,6 @@ impl MachineState {
             return Ok(StealOutcome::AllIdle);
         }
         Ok(StealOutcome::Pending)
-    }
-
-    /// The barriered-mode stealing loop: steal until every machine is idle,
-    /// parking on the inbox (and absorbing arriving shuffle data) while
-    /// there is nothing to take.
-    fn steal_loop(
-        &mut self,
-        chain: &mut SegmentChain,
-        plan: &SegmentPlan,
-        seg: &SegmentShared,
-        run: &RunShared,
-        sink: SinkMode,
-    ) -> Result<()> {
-        loop {
-            match self.steal_once(chain, plan, seg, run, sink)? {
-                StealOutcome::Stole => continue,
-                StealOutcome::AllIdle => return Ok(()),
-                StealOutcome::Pending => {
-                    run.check_cancel()?;
-                    self.absorb_inbox()?;
-                    self.router.wait_data(PARK_TIMEOUT);
-                }
-            }
-        }
     }
 
     // -----------------------------------------------------------------------
@@ -1627,7 +1527,7 @@ impl MachineState {
     fn speculatively_ready(&self, plan: &SegmentPlan) -> bool {
         let k = self.router.num_machines();
         if !self.config.speculative_sealing
-            || k > 64
+            || k > MAX_MASKED_MACHINES
             || !matches!(plan.segment.source, SegmentSource::Join(_))
         {
             return false;

@@ -29,9 +29,8 @@ pub struct MachineReport {
     pub segment_busy: Vec<Duration>,
     /// First-activity and completion offsets of each segment relative to the
     /// run's start (`None` when the machine never reached the segment, e.g.
-    /// on an aborted run). Under barriered execution no segment's start can
-    /// precede another segment's end on any machine; under the pipelined
-    /// scheduler the spans of different segments overlap.
+    /// on an aborted run). Spans of different segments may overlap: there
+    /// is no barrier between segments.
     pub segment_spans: Vec<Option<(Duration, Duration)>>,
     /// What this machine's joins did under skew (partition stealing and
     /// speculative sealing).
@@ -158,13 +157,6 @@ pub struct RunReport {
     /// Time spent in the fetch stage of `PULL-EXTEND` (the `t_f` reported in
     /// Table 5 to bound the two-stage synchronisation overhead).
     pub fetch_time: Duration,
-    /// `true` when segments executed without barriers (the per-machine
-    /// dataflow scheduler); `false` under the barriered escape hatch.
-    pub pipelined: bool,
-    /// Machine threads spawned for this run: `k` when pipelined, `k ×
-    /// segments` under barriers — the regression handle for "machine threads
-    /// are spawned once per run".
-    pub machine_threads_spawned: usize,
     /// What the memory governor did (`None` for ungoverned runs).
     pub governor: Option<GovernorReport>,
     /// Aggregated skew-handling join counters (sums over machines; the seal
@@ -247,7 +239,7 @@ impl RunReport {
     }
 
     /// Wall-clock the pipelined scheduler saved versus the barriered lower
-    /// bound (zero for single-segment plans or barriered runs).
+    /// bound (zero for single-segment plans).
     pub fn overlap_saved(&self) -> Duration {
         self.barrier_bound().saturating_sub(self.compute_time)
     }

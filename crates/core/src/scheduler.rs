@@ -12,9 +12,9 @@
 //!
 //! # Cross-segment readiness
 //!
-//! With `pipeline_segments` on there is no barrier between segments: each
-//! machine thread drives *all* segments of the dataflow through a small state
-//! machine ([`SegmentState`]) and picks what to run next by readiness:
+//! There is no barrier between segments: each machine thread drives *all*
+//! segments of the dataflow through a small state machine
+//! ([`SegmentState`]) and picks what to run next by readiness:
 //!
 //! * a **scan** segment is always runnable;
 //! * a **join** segment becomes runnable (its `PUSH-JOIN` may be sealed and
@@ -228,7 +228,16 @@ pub struct SegmentShared {
     pub scan_pools: Vec<ScanPool>,
     /// One set of operator queues per machine.
     pub queues: Vec<Arc<SegmentQueues>>,
-    /// Idle flags used by the work-stealing termination protocol.
+    /// Idle flags used by the work-stealing termination protocol: once
+    /// every machine is idle on a stealable segment at the same time, no
+    /// chain can run and no envelope can still be produced (work for the
+    /// segment only comes from stealing existing work, and there is none),
+    /// so each machine finishes the segment. Scan segments steal scan chunks
+    /// and queued batches; join segments steal sealed Grace partitions over
+    /// the router's control plane (`huge_comm::ControlMsg`), and their idle
+    /// protocol additionally guarantees no machine advertises idleness while
+    /// a `PartitionShip` it solicited could still be in flight.
+    /// No-stealing configurations never set idle flags.
     pub idle: Vec<AtomicBool>,
     /// Machines that have not yet finished this segment. Reaching zero is the
     /// segment's end-of-stream signal: every machine has executed (and
@@ -238,33 +247,13 @@ pub struct SegmentShared {
 }
 
 impl SegmentShared {
-    /// `true` once the segment is at end-of-stream: every machine has
-    /// finished it, or — for stealable segments — every machine is *idle*
-    /// on it. The idle clause matters for liveness: a machine goes idle the
-    /// moment its own work is drained and nothing is stealable, but it
-    /// releases its `remaining` slot lazily (on its next scheduler visit).
-    /// Once all machines are idle simultaneously no chain can run and no
-    /// envelope can still be produced (work for a segment only comes from
-    /// stealing existing work, and there is none), so consumers may treat
-    /// the shuffle as complete even while a straggler is busy inside another
-    /// segment. Scan segments steal scan chunks and queued batches; join
-    /// segments steal sealed Grace partitions over the router's control
-    /// plane (`huge_comm::ControlMsg`), and their idle protocol additionally
-    /// guarantees no machine advertises idleness while a `PartitionShip` it
-    /// solicited could still be in flight. No-stealing configurations never
-    /// set idle flags and rely on `remaining` alone.
-    pub fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::SeqCst) == 0
-            || (self.idle.len() > 1 && self.idle.iter().all(|f| f.load(Ordering::SeqCst)))
-    }
-
     /// `true` once every machine has settled its `remaining` slot — the
-    /// *coarse* end-of-stream gate. Unlike [`SegmentShared::is_done`] this
-    /// never consults the idle flags: a machine's slot settles one scheduler
-    /// visit *after* it broadcast its `ControlMsg::Eos` envelopes, which is
-    /// exactly the gap speculative sealing exploits (a consumer holding EOS
-    /// evidence from all `k` machines seals and probes before the counters
-    /// drain).
+    /// *coarse* end-of-stream gate. It never consults the idle flags (those
+    /// end a stealable segment's drain, see [`SegmentShared::idle`]): a
+    /// machine's slot settles one scheduler visit *after* it broadcast its
+    /// `ControlMsg::Eos` envelopes, which is exactly the gap speculative
+    /// sealing exploits (a consumer holding EOS evidence from all `k`
+    /// machines seals and probes before the counters drain).
     pub fn released(&self) -> bool {
         self.remaining.load(Ordering::SeqCst) == 0
     }
@@ -276,10 +265,9 @@ pub struct RunShared {
     /// Per-segment shared state, indexed by segment id.
     pub segments: Vec<SegmentShared>,
     /// Set when any machine fails (or panics) anywhere in the run: peers
-    /// blocked on backpressure, stealing, readiness waits or the
-    /// end-of-segment linger bail out instead of waiting for a machine that
-    /// will never make progress. Under pipelined execution an abort fails the
-    /// *whole run*, not one segment.
+    /// blocked on backpressure, stealing or readiness waits bail out instead
+    /// of waiting for a machine that will never make progress. An abort
+    /// fails the *whole run*, not one segment.
     pub aborted: AtomicBool,
     /// The run's cooperative cancellation token (explicit cancel and the
     /// configured deadline). Machines poll it at batch granularity alongside
@@ -468,11 +456,10 @@ mod tests {
         // A join is ready only once every producer is globally done.
         assert!(run.ready(&[0]));
         assert!(!run.ready(&[0, 1]));
-        // Idle flags feed `is_done` (drain-dance termination), never the
-        // counter gate — EOS envelopes, not shared flags, are the fast path.
+        // Idle flags end the drain dance, never the counter gate — EOS
+        // envelopes, not shared flags, are the fast path.
         run.segments[1].idle[0].store(true, Ordering::SeqCst);
         run.segments[1].idle[1].store(true, Ordering::SeqCst);
-        assert!(run.segments[1].is_done(), "all-idle ends the drain dance");
         assert!(!run.ready(&[0, 1]));
         assert!(!run.segments[1].released());
         run.segments[1].remaining.store(0, Ordering::SeqCst);

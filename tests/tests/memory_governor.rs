@@ -120,18 +120,6 @@ fn governed_runs_agree_with_every_engine() {
             .run(&query, SinkMode::Count)
             .unwrap();
         assert_eq!(governed.matches, expected, "governed HUGE on {pattern:?}");
-        // Barriered execution is governed through the same hooks.
-        let barriered = HugeCluster::build(
-            graph.clone(),
-            governed_config.clone().pipeline_segments(false),
-        )
-        .unwrap()
-        .run(&query, SinkMode::Count)
-        .unwrap();
-        assert_eq!(
-            barriered.matches, expected,
-            "governed barriered {pattern:?}"
-        );
         for baseline in Baseline::ALL {
             let report = baseline.run(&graph, &query, &governed_config).unwrap();
             assert_eq!(
@@ -245,15 +233,13 @@ proptest! {
             Just(u64::MAX / 4),    // never leaves Green
         ],
         batch in prop_oneof![Just(64usize), Just(1024usize)],
-        pipelined in prop_oneof![Just(true), Just(false)],
     ) {
         let query = pattern.query_graph();
         let expected = naive::enumerate(&graph, &query);
         let config = ClusterConfig::new(machines)
             .workers(1)
             .batch_size(batch)
-            .memory_budget(budget)
-            .pipeline_segments(pipelined);
+            .memory_budget(budget);
         let report = HugeCluster::build(graph, config)
             .unwrap()
             .run(&query, SinkMode::Count)

@@ -2,7 +2,9 @@
 //! the cache / communication behaviour.
 
 use huge_cache::CacheKind;
-use huge_core::{ClusterConfig, HugeCluster, LoadBalance, SinkMode};
+use std::time::Duration;
+
+use huge_core::{ClusterConfig, Fault, HugeCluster, LoadBalance, SinkMode};
 use huge_graph::gen;
 use huge_query::{naive, Pattern};
 
@@ -172,18 +174,27 @@ fn pushing_plans_spill_and_still_count_correctly() {
 
 #[test]
 fn inter_machine_stealing_keeps_counts_and_moves_work() {
-    // A very skewed graph: one hub machine owns most of the work.
-    let graph = gen::barabasi_albert(4_000, 10, 1);
+    // A skewed graph with several scan chunks per machine; machine 1 stalls
+    // before it starts its scan, so its idle peers always find chunks left
+    // to steal from its pool.
+    let graph = gen::barabasi_albert(10_000, 10, 1);
     let query = Pattern::Triangle.query_graph();
     let expected = naive::enumerate(&graph, &query);
-    let report = HugeCluster::build(graph, ClusterConfig::new(4).workers(1).batch_size(512))
+    let config = ClusterConfig::new(4)
+        .workers(1)
+        .batch_size(512)
+        .inject_fault(1, 0, Fault::Delay(Duration::from_millis(500)));
+    let report = HugeCluster::build(graph, config)
         .unwrap()
         .run(&query, SinkMode::Count)
         .unwrap();
     assert_eq!(report.matches, expected);
-    // Stealing is opportunistic; at least the counters must be consistent.
     let stolen: u64 = report.machines.iter().map(|m| m.batches_stolen).sum();
-    assert_eq!(stolen, report.comm.steals + stolen - report.comm.steals);
+    assert!(stolen > 0, "no peer stole from the stalled machine");
+    // Each steal event is recorded once and moves at least one chunk or
+    // batch.
+    assert!(report.comm.steals <= stolen);
+    assert_eq!(stolen == 0, report.comm.steals == 0);
 }
 
 #[test]
@@ -196,5 +207,9 @@ fn fetch_time_is_a_small_fraction_of_total() {
         .unwrap()
         .run(&query, SinkMode::Count)
         .unwrap();
+    // Holds by construction, not by timing luck: each machine times its
+    // fetch stages on its own thread, one batch after another
+    // (`fetch_stage_cols`), so their durations sum to at most that thread's
+    // lifetime, and `compute_time` spans every machine thread's lifetime.
     assert!(report.fetch_time <= report.compute_time);
 }
